@@ -7,12 +7,10 @@ and config produce byte-identical artifacts.
 
 Config precedence: defaults < config file (--config, key=value lines) < flags.
 The effective config is written to <out>/config.txt alongside the artifacts.
-TOPICCF_THREADS caps worker parallelism during evaluation.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -82,26 +80,31 @@ _OPTIONAL_FLOAT = ("relevance_threshold",)
 _OPTIONAL_STR = ("ratings", "corpus", "stopwords")
 
 
-def _parse_value(name: str, typ: str, raw: str):
+def _parse_value(name: str, raw: str, where: str = ""):
+    """Convert one raw config value; ``where`` prefixes the error (e.g. ``path:line: ``)."""
     raw = raw.strip()
-    if name in _INT_LIST:
-        return tuple(int(x) for x in raw.split(",") if x)
-    if name in _STR_LIST:
-        return tuple(x.strip() for x in raw.split(",") if x.strip())
-    if name in _OPTIONAL_FLOAT:
-        return float(raw) if raw else None
-    if name in _OPTIONAL_STR:
-        return raw or None
-    if typ == "int":
-        return int(raw)
-    if typ == "float":
-        return float(raw)
-    return raw
+    typ = next(f.type for f in fields(RunConfig) if f.name == name)
+    try:
+        if name in _INT_LIST:
+            return tuple(int(x) for x in raw.split(",") if x)
+        if name in _STR_LIST:
+            return tuple(x.strip() for x in raw.split(",") if x.strip())
+        if name in _OPTIONAL_FLOAT:
+            return float(raw) if raw else None
+        if name in _OPTIONAL_STR:
+            return raw or None
+        if "int" in typ:
+            return int(raw)
+        if "float" in typ:
+            return float(raw)
+        return raw
+    except ValueError:
+        raise ConfigurationError(f"{where}invalid value {raw!r} for {name}") from None
 
 
 def read_config(path) -> RunConfig:
     """Parse a key=value config file into a RunConfig."""
-    by_name = {f.name: f for f in fields(RunConfig)}
+    names = {f.name for f in fields(RunConfig)}
     values = {}
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -109,11 +112,9 @@ def read_config(path) -> RunConfig:
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or key not in by_name:
+        if not sep or key not in names:
             raise ConfigurationError(f"{path}:{line_no}: unknown config key {key!r}")
-        typ = by_name[key].type
-        base = "int" if "int" in typ else "float" if "float" in typ else "str"
-        values[key] = _parse_value(key, base, value)
+        values[key] = _parse_value(key, value, f"{path}:{line_no}: ")
     return RunConfig(**values)
 
 
@@ -131,11 +132,6 @@ def write_config(cfg: RunConfig, path) -> None:
             else:
                 rendered = str(value)
             fh.write(f"{f.name}={rendered}\n")
-
-
-def _threads() -> int:
-    raw = os.environ.get("TOPICCF_THREADS", "").strip()
-    return max(1, int(raw)) if raw else 1
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -185,7 +181,6 @@ def cmd_train(cfg: RunConfig) -> None:
         encoded, vocab,
         T=cfg.topics, alpha_sum=cfg.alpha_sum, beta=cfg.beta,
         iterations=cfg.iterations, seed=cfg.lda_seed,
-        progress_every=100,
         on_progress=lambda it, ll: print(f"iteration {it}: log-likelihood {ll:.2f}"),
     )
     lda.save_theta(model, out / "theta.csv")
@@ -206,8 +201,13 @@ def cmd_personas(cfg: RunConfig) -> None:
     profiles = lda.load_item_profiles(theta_path)
     train = ingest.parse_ratings(train_path, "csv")
     personas = persona.build_all_personas(train, profiles)
-    persona.write_personas_csv(personas, out / "personas.csv")
     n_undef = persona.undefined_count(personas)
+    if n_undef == len(personas):
+        raise ConfigurationError(
+            f"all {n_undef} personas undefined: no train user rated an item of "
+            f"{theta_path}; the corpus item ids likely do not match the rating item ids"
+        )
+    persona.write_personas_csv(personas, out / "personas.csv")
     write_config(cfg, out / "config.txt")
     print(f"{len(personas)} personas written ({n_undef} undefined)")
 
@@ -253,17 +253,10 @@ def cmd_evaluate(cfg: RunConfig, per_user_detail: bool = False,
     if dump_similarities:
         similarity.write_similarity_audit(out / "similarities.csv", personas, train)
 
-    threads = _threads()
     reports = []
     for algo in selected:
         recommender = _make_recommender(algo, train, personas, cfg)
-        users = sorted(test.by_user)
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rec_lists = dict(zip(users, pool.map(recommender, users)))
-        else:
-            rec_lists = {u: recommender(u) for u in users}
+        rec_lists = {u: recommender(u) for u in sorted(test.by_user)}
         recommend.write_recommendations_csv(rec_lists, out / f"recs_{algo}.csv")
 
         detail_fh = None
@@ -342,10 +335,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is None:
             continue
-        if f.name == "ks":
-            value = tuple(int(x) for x in value.split(",") if x)
-        elif f.name == "algorithms":
-            value = tuple(x.strip() for x in value.split(",") if x.strip())
+        if f.name in _INT_LIST + _STR_LIST:
+            value = _parse_value(f.name, value)
         overrides[f.name] = value
     return replace(cfg, **overrides)
 

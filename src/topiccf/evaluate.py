@@ -7,7 +7,6 @@ f-measure is computed per user and then averaged.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -56,7 +55,6 @@ def evaluate_sweep(
     Ks: Sequence[int] = DEFAULT_KS,
     max_K: int = 75,
     relevance_threshold: float | None = None,
-    threads: int = 1,
     detail_sink=None,
 ) -> list[EvalRow]:
     """Generate max_K recommendations once per user, truncate per K, average.
@@ -82,15 +80,9 @@ def evaluate_sweep(
             users.append(user)
             relevant_by_user[user] = relevant
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rec_lists = list(pool.map(recommender, users))
-    else:
-        rec_lists = [recommender(u) for u in users]
-
     sums = {k: [0.0, 0.0, 0.0] for k in Ks}
-    for user, rec_list in zip(users, rec_lists):
-        items = rec_list.item_ids()
+    for user in users:
+        items = recommender(user).item_ids()
         relevant = relevant_by_user[user]
         for k in Ks:
             p, r = precision_recall_at_k(items[:k], relevant)

@@ -26,6 +26,7 @@ import numpy as np
 from .ingest import ConfigurationError, DocumentCorpus
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+PROGRESS_EVERY = 100  # sweeps between on_progress reports
 
 
 def load_stopwords(path) -> frozenset[str]:
@@ -133,13 +134,12 @@ def train_lda(
     beta: float = 0.01,
     iterations: int = 1000,
     seed: int = 1,
-    progress_every: int = 0,
     on_progress: Callable[[int, float], None] | None = None,
 ) -> TopicModel:
     """Collapsed Gibbs sampling; returns the point estimate from the final sweep.
 
-    ``on_progress(iteration, log_likelihood)`` fires every ``progress_every``
-    sweeps when both are set; it never consumes randomness.
+    ``on_progress(iteration, log_likelihood)``, when set, fires every
+    PROGRESS_EVERY (100) sweeps; it never consumes randomness.
     """
     if T < 1:
         raise ConfigurationError(f"T must be >= 1, got {T}")
@@ -206,7 +206,7 @@ def train_lda(
                 row[t_new] += 1
                 rw[t_new] += 1
                 n_t[t_new] += 1
-        if progress_every and on_progress and (sweep + 1) % progress_every == 0:
+        if on_progress and (sweep + 1) % PROGRESS_EVERY == 0:
             theta, phi = _estimates(n_dt, n_wt, docs, alpha, alpha_sum, beta, vbeta)
             on_progress(sweep + 1, _log_likelihood(theta, phi, docs))
 

@@ -95,32 +95,27 @@ def _g2(k11: int, k12: int, k21: int, k22: int) -> float:
     return max(0.0, 2.0 * total)  # clamp guards float cancellation
 
 
+def _llr(a: frozenset[int], b: frozenset[int], universe: int) -> SimilarityScore:
+    """1 - 1/(1 + G2) of the table: shared ids, ids only in a, only in b, in neither."""
+    k11 = len(a & b)
+    k12 = len(a) - k11
+    k21 = len(b) - k11
+    g2 = _g2(k11, k12, k21, universe - k11 - k12 - k21)
+    return SimilarityScore(1.0 - 1.0 / (1.0 + g2))
+
+
 def llr_similarity(u: int, v: int, train: RatingDataset) -> SimilarityScore:
     """Log-likelihood-ratio association of the two users' item sets, in [0, 1).
 
     The table counts co-rated items, each user's exclusive items, and the rest
     of the item universe. Always defined; independence gives exactly 0.
     """
-    iu = train.user_items(u)
-    iv = train.user_items(v)
-    k11 = len(iu & iv)
-    k12 = len(iu) - k11
-    k21 = len(iv) - k11
-    k22 = train.num_items - k11 - k12 - k21
-    g2 = _g2(k11, k12, k21, k22)
-    return SimilarityScore(1.0 - 1.0 / (1.0 + g2))
+    return _llr(train.user_items(u), train.user_items(v), train.num_items)
 
 
 def item_llr_similarity(i: int, j: int, train: RatingDataset) -> SimilarityScore:
     """llr_similarity with the roles of users and items swapped."""
-    ui = train.item_users(i)
-    uj = train.item_users(j)
-    k11 = len(ui & uj)
-    k12 = len(ui) - k11
-    k21 = len(uj) - k11
-    k22 = train.num_users - k11 - k12 - k21
-    g2 = _g2(k11, k12, k21, k22)
-    return SimilarityScore(1.0 - 1.0 / (1.0 + g2))
+    return _llr(train.item_users(i), train.item_users(j), train.num_users)
 
 
 def hybrid_similarity(

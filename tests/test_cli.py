@@ -122,6 +122,22 @@ def test_personas_rows_and_trailer(tiny_inputs, tmp_path, capsys):
     assert "8 personas" in capsys.readouterr().out
 
 
+def test_personas_all_undefined_fails_before_writing(tiny_inputs, tmp_path, capsys):
+    ratings, _ = tiny_inputs
+    corpus = tmp_path / "offset_corpus.tsv"   # ids 101-112 never match rating items 1-12
+    corpus.write_text("".join(f"{100 + i}\t{' '.join(WAR_WORDS)}\n" for i in range(1, 13)))
+    out = tmp_path / "out"
+    args = _base_args(ratings, corpus, out)
+    main(["split"] + args)
+    main(["train"] + args)
+    capsys.readouterr()
+    assert main(["personas"] + args) == 2
+    err = capsys.readouterr().err
+    assert "all 8 personas undefined" in err
+    assert "item ids" in err
+    assert not (out / "personas.csv").exists()
+
+
 def test_personas_requires_upstream(tmp_path, capsys):
     rc = main(["personas", "--out", str(tmp_path / "nowhere")])
     assert rc == 2
@@ -177,15 +193,6 @@ def test_evaluate_per_user_detail_and_similarity_dump(tiny_inputs, tmp_path):
     assert len(sims) == 1 + 8 * 7 // 2
 
 
-def test_threads_env_does_not_change_report(tiny_inputs, tmp_path, monkeypatch):
-    ratings, corpus = tiny_inputs
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    _run_pipeline(ratings, corpus, out1)
-    monkeypatch.setenv("TOPICCF_THREADS", "4")
-    _run_pipeline(ratings, corpus, out2)
-    assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
-
-
 def test_config_round_trip(tmp_path):
     cfg = RunConfig(ratings="r.csv", format="csv", corpus=None, out="x",
                     topics=7, alpha_sum=7.0, beta=0.02, iterations=12,
@@ -224,6 +231,23 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     rc = main(["split", "--config", str(conf), "--ratings", "x.csv"])
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_bad_config_file_value_names_key_and_line(tmp_path, capsys):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("format=csv\ntopics=abc\n")
+    rc = main(["split", "--config", str(conf), "--ratings", "x.csv"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{conf}:2:" in err
+    assert "topics" in err and "'abc'" in err
+
+
+def test_bad_ks_flag_is_a_configuration_error(tmp_path, capsys):
+    rc = main(["evaluate", "--out", str(tmp_path / "out"), "--ks", "5,x"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ks" in err and "'5,x'" in err
 
 
 def test_missing_ratings_file(tmp_path, capsys):

@@ -158,16 +158,6 @@ def test_max_k_below_largest_k_rejected():
         evaluate_sweep(lambda u: _recs(u, []), train, test, Ks=[5, 10], max_K=5)
 
 
-def test_threads_do_not_change_results():
-    train = _ds({u: [(999, 5.0)] for u in range(1, 6)})
-    test = _ds({u: [(u, 4.0), (u + 50, 4.0)] for u in range(1, 6)})
-    lists = {u: [u, u + 1, u + 50] for u in range(1, 6)}
-    seq = evaluate_sweep(lambda u: _recs(u, lists[u]), train, test, Ks=[1, 3], max_K=3)
-    par = evaluate_sweep(lambda u: _recs(u, lists[u]), train, test, Ks=[1, 3], max_K=3,
-                         threads=4)
-    assert seq == par
-
-
 # ---------- report emission ----------
 
 def test_emit_single_row():

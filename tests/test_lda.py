@@ -127,6 +127,18 @@ def test_training_deterministic():
     assert a.assignments == b.assignments
 
 
+def test_progress_fires_every_100_sweeps_without_changing_the_model():
+    corpus = DocumentCorpus({1: "war battle army", 2: "love romance heart"})
+    vocab, encoded = build_vocabulary(corpus)
+    seen = []
+    model = train_lda(encoded, vocab, T=2, alpha_sum=2.0, iterations=250, seed=3,
+                      on_progress=lambda it, ll: seen.append((it, ll)))
+    quiet = train_lda(encoded, vocab, T=2, alpha_sum=2.0, iterations=250, seed=3)
+    assert [it for it, _ in seen] == [100, 200]
+    assert all(math.isfinite(ll) and ll < 0 for _, ll in seen)
+    assert model.assignments == quiet.assignments
+
+
 def test_training_seed_changes_assignments():
     a, _, _ = _toy_model(seed=7, iterations=3)
     b, _, _ = _toy_model(seed=8, iterations=3)
