@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import evaluate as ev
@@ -22,27 +22,32 @@ from .ingest import ConfigurationError, RATING_MAX, RATING_MIN
 ALGORITHMS = ("hybrid", "topic_only", "ubcf_pearson", "ubcf_llr", "ibcf_llr")
 
 
+def _opt(default, help_text: str):
+    """A RunConfig field; ``help_text`` becomes its flag's --help line."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass
 class RunConfig:
-    ratings: str | None = None
-    format: str = "movielens_dat"
-    corpus: str | None = None
-    stopwords: str | None = None
-    out: str = "out"
-    topics: int = 50
-    alpha_sum: float = 50.0
-    beta: float = 0.01
-    iterations: int = 1000
-    lda_seed: int = 1
-    min_df: int = 1
-    fraction: float = 0.8
-    split_seed: int = 1
-    neighbors: int = 30
-    like_threshold: float = 1.0
-    max_k: int = 75
-    ks: tuple[int, ...] = ev.DEFAULT_KS
-    algorithms: tuple[str, ...] = ALGORITHMS
-    relevance_threshold: float | None = None
+    ratings: str | None = _opt(None, "ratings file path")
+    format: str = _opt("movielens_dat", f"ratings file format: {' or '.join(ingest.FORMATS)}")
+    corpus: str | None = _opt(None, "item corpus: directory of <item_id>.txt or TSV file")
+    stopwords: str | None = _opt(None, "stopword file, one token per line; none: the shipped list")
+    out: str = _opt("out", "output directory")
+    topics: int = _opt(50, "number of topics T")
+    alpha_sum: float = _opt(50.0, "Dirichlet concentration sum")
+    beta: float = _opt(0.01, "topic-word smoothing")
+    iterations: int = _opt(1000, "Gibbs sweeps")
+    lda_seed: int = _opt(1, "sampler seed")
+    min_df: int = _opt(1, "minimum document frequency for vocabulary")
+    fraction: float = _opt(0.8, "train fraction")
+    split_seed: int = _opt(1, "split seed")
+    neighbors: int = _opt(30, "neighborhood size N")
+    like_threshold: float = _opt(1.0, "rating counted as liking; 1.0: any rating")
+    max_k: int = _opt(75, "recommendations generated per user")
+    ks: tuple[int, ...] = _opt(ev.DEFAULT_KS, "comma-separated K values")
+    algorithms: tuple[str, ...] = _opt(ALGORITHMS, "comma-separated algorithms to evaluate")
+    relevance_threshold: float | None = _opt(None, "test rating counted as relevant; none: any")
 
     def validate(self) -> None:
         if self.format not in ingest.FORMATS:
@@ -74,37 +79,31 @@ class RunConfig:
             )
 
 
-_INT_LIST = ("ks",)
-_STR_LIST = ("algorithms",)
-_OPTIONAL_FLOAT = ("relevance_threshold",)
-_OPTIONAL_STR = ("ratings", "corpus", "stopwords")
+# field name -> annotation string, e.g. "int", "float | None", "tuple[int, ...]"
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse_value(name: str, raw: str, where: str = ""):
-    """Convert one raw config value; ``where`` prefixes the error (e.g. ``path:line: ``)."""
+    """Convert one raw flag or config-file value by the field's annotation.
+
+    ``where`` prefixes the error (e.g. ``path:line: ``). An empty value is
+    None for an optional field; a tuple field takes comma-separated items.
+    """
     raw = raw.strip()
-    typ = next(f.type for f in fields(RunConfig) if f.name == name)
+    typ = _TYPES[name]
+    convert = int if "int" in typ else float if "float" in typ else str
     try:
-        if name in _INT_LIST:
-            return tuple(int(x) for x in raw.split(",") if x)
-        if name in _STR_LIST:
-            return tuple(x.strip() for x in raw.split(",") if x.strip())
-        if name in _OPTIONAL_FLOAT:
-            return float(raw) if raw else None
-        if name in _OPTIONAL_STR:
-            return raw or None
-        if "int" in typ:
-            return int(raw)
-        if "float" in typ:
-            return float(raw)
-        return raw
+        if typ.startswith("tuple"):
+            return tuple(convert(x.strip()) for x in raw.split(",") if x.strip())
+        if not raw and typ.endswith("None"):
+            return None
+        return convert(raw)
     except ValueError:
         raise ConfigurationError(f"{where}invalid value {raw!r} for {name}") from None
 
 
 def read_config(path) -> RunConfig:
     """Parse a key=value config file into a RunConfig."""
-    names = {f.name for f in fields(RunConfig)}
     values = {}
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -112,26 +111,28 @@ def read_config(path) -> RunConfig:
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or key not in names:
+        if not sep or key not in _TYPES:
             raise ConfigurationError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = _parse_value(key, value, f"{path}:{line_no}: ")
     return RunConfig(**values)
+
+
+def _render(value) -> str:
+    """A config value as written to config.txt; _parse_value reads it back."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ",".join(str(x) for x in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def write_config(cfg: RunConfig, path) -> None:
     """Write the effective config; read_config on the result reproduces it exactly."""
     with open(path, "w", encoding="utf-8") as fh:
         for f in fields(RunConfig):
-            value = getattr(cfg, f.name)
-            if value is None:
-                rendered = ""
-            elif isinstance(value, tuple):
-                rendered = ",".join(str(x) for x in value)
-            elif isinstance(value, float):
-                rendered = repr(value)
-            else:
-                rendered = str(value)
-            fh.write(f"{f.name}={rendered}\n")
+            fh.write(f"{f.name}={_render(getattr(cfg, f.name))}\n")
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -282,44 +283,36 @@ def cmd_evaluate(cfg: RunConfig, per_user_detail: bool = False,
     print(f"report written to {out / 'report.csv'}")
 
 
+# Stage name -> (handler, help). Each handler looks its cmd_* function up when
+# called, so a wrapper installed on the module attribute (bench/tracing.py) runs.
+STAGES = {
+    "split": (lambda cfg, args: cmd_split(cfg),
+              "parse ratings and write deterministic train/test splits"),
+    "train": (lambda cfg, args: cmd_train(cfg),
+              "train the topic model over the item corpus"),
+    "personas": (lambda cfg, args: cmd_personas(cfg),
+                 "project train users into topic space"),
+    "evaluate": (lambda cfg, args: cmd_evaluate(cfg, args.per_user_detail,
+                                                args.dump_similarities),
+                 "run recommenders and emit the precision/recall/f report"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One flag per RunConfig field (alpha_sum -> --alpha-sum), values left as strings."""
     parser = argparse.ArgumentParser(
         prog="topiccf",
         description="Hybrid topic/rating-overlap neighborhood recommender pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("split", "parse ratings and write deterministic train/test splits"),
-        ("train", "train the topic model over the item corpus"),
-        ("personas", "project train users into topic space"),
-        ("evaluate", "run recommenders and emit the precision/recall/f report"),
-    ):
+    defaults = RunConfig()
+    for name, (_, help_text) in STAGES.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file (flags override)")
-        p.add_argument("--ratings", help="ratings file path")
-        p.add_argument("--format", choices=ingest.FORMATS, help="ratings file format")
-        p.add_argument("--corpus", help="item corpus: directory of <item_id>.txt or TSV file")
-        p.add_argument("--stopwords", help="stopword file, one token per line")
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--topics", type=int, help="number of topics T (default 50)")
-        p.add_argument("--alpha-sum", dest="alpha_sum", type=float,
-                       help="Dirichlet concentration sum (default 50)")
-        p.add_argument("--beta", type=float, help="topic-word smoothing (default 0.01)")
-        p.add_argument("--iterations", type=int, help="Gibbs sweeps (default 1000)")
-        p.add_argument("--lda-seed", dest="lda_seed", type=int, help="sampler seed")
-        p.add_argument("--min-df", dest="min_df", type=int,
-                       help="minimum document frequency for vocabulary (default 1)")
-        p.add_argument("--fraction", type=float, help="train fraction (default 0.8)")
-        p.add_argument("--split-seed", dest="split_seed", type=int, help="split seed")
-        p.add_argument("--neighbors", type=int, help="neighborhood size N (default 30)")
-        p.add_argument("--like-threshold", dest="like_threshold", type=float,
-                       help="rating counted as liking (default 1.0 = any rating)")
-        p.add_argument("--max-k", dest="max_k", type=int,
-                       help="recommendations generated per user (default 75)")
-        p.add_argument("--ks", help="comma-separated K values (default 5,10,...,75)")
-        p.add_argument("--algorithms", help=f"comma-separated subset of {','.join(ALGORITHMS)}")
-        p.add_argument("--relevance-threshold", dest="relevance_threshold", type=float,
-                       help="test rating needed to count as relevant (default: any)")
+        for f in fields(RunConfig):
+            default = _render(getattr(defaults, f.name)) or "none"
+            p.add_argument("--" + f.name.replace("_", "-"),
+                           help=f"{f.metadata['help']} (default: {default})")
         if name == "evaluate":
             p.add_argument("--per-user-detail", action="store_true",
                            help="write per-user metric csvs")
@@ -331,34 +324,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = read_config(args.config) if args.config else RunConfig()
     overrides = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if f.name in _INT_LIST + _STR_LIST:
-            value = _parse_value(f.name, value)
-        overrides[f.name] = value
+    for name in _TYPES:
+        raw = getattr(args, name)
+        if raw is not None:
+            overrides[name] = _parse_value(name, raw)
     return replace(cfg, **overrides)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler, _ = STAGES[args.command]
     try:
-        cfg = _config_from_args(args)
-        if args.command == "split":
-            cmd_split(cfg)
-        elif args.command == "train":
-            cmd_train(cfg)
-        elif args.command == "personas":
-            cmd_personas(cfg)
-        elif args.command == "evaluate":
-            cmd_evaluate(cfg, per_user_detail=args.per_user_detail,
-                         dump_similarities=args.dump_similarities)
-    except (ConfigurationError, ingest.ParseError, ingest.RatingRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        handler(_config_from_args(args), args)
+    except (ConfigurationError, ingest.ParseError, ingest.RatingRangeError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -53,27 +53,26 @@ class RatingRecord:
 
 
 class RatingDataset:
-    """Immutable user-item ratings with per-user and per-item indexes.
+    """Immutable user-item ratings with a per-user index.
 
-    ``by_user`` / ``by_item`` hold (other_id, rating) tuples; item-set and
-    user-set views are pre-built for similarity computations.
+    ``by_user`` holds (item_id, rating) tuples; item-set and user-set views
+    are pre-built for similarity computations.
     """
 
     def __init__(self, records: Iterable[RatingRecord], duplicates_dropped: int = 0):
         recs = tuple(records)
         by_user: dict[int, list[tuple[int, float]]] = {}
-        by_item: dict[int, list[tuple[int, float]]] = {}
+        item_users: dict[int, list[int]] = {}
         for r in recs:
             by_user.setdefault(r.user_id, []).append((r.item_id, r.rating))
-            by_item.setdefault(r.item_id, []).append((r.user_id, r.rating))
+            item_users.setdefault(r.item_id, []).append(r.user_id)
         self.records = recs
         self.by_user = {u: tuple(v) for u, v in by_user.items()}
-        self.by_item = {i: tuple(v) for i, v in by_item.items()}
         self.num_users = len(self.by_user)
-        self.num_items = len(self.by_item)
+        self.num_items = len(item_users)
         self.duplicates_dropped = duplicates_dropped
         self._user_sets = {u: frozenset(i for i, _ in v) for u, v in self.by_user.items()}
-        self._item_sets = {i: frozenset(u for u, _ in v) for i, v in self.by_item.items()}
+        self._item_sets = {i: frozenset(v) for i, v in item_users.items()}
 
     def user_items(self, user_id: int) -> frozenset[int]:
         return self._user_sets.get(user_id, frozenset())
@@ -85,7 +84,7 @@ class RatingDataset:
         return sorted(self.by_user)
 
     def items(self) -> list[int]:
-        return sorted(self.by_item)
+        return sorted(self._item_sets)
 
     def record_set(self) -> frozenset[RatingRecord]:
         return frozenset(self.records)
@@ -246,17 +245,18 @@ def split_train_test(ds: RatingDataset, fraction: float, seed: int) -> SplitPair
     """
     if not (0.0 < fraction < 1.0):
         raise ConfigurationError(f"fraction must be in (0, 1), got {fraction}")
-    rec_index = {(r.user_id, r.item_id): r for r in ds.records}
+    by_user: dict[int, list[RatingRecord]] = {}
+    for r in ds.records:
+        by_user.setdefault(r.user_id, []).append(r)
     train_recs: list[RatingRecord] = []
     test_recs: list[RatingRecord] = []
-    for user in sorted(ds.by_user):
-        pairs = sorted(ds.by_user[user])
+    for user in sorted(by_user):
+        recs = sorted(by_user[user], key=lambda r: r.item_id)
         rng = np.random.default_rng([seed, user])
-        order = rng.permutation(len(pairs))
-        n_train = math.floor(fraction * len(pairs) + 0.5)
+        order = rng.permutation(len(recs))
+        n_train = math.floor(fraction * len(recs) + 0.5)
         for rank, idx in enumerate(order):
-            rec = rec_index[(user, pairs[idx][0])]
-            (train_recs if rank < n_train else test_recs).append(rec)
+            (train_recs if rank < n_train else test_recs).append(recs[idx])
     return SplitPair(RatingDataset(train_recs), RatingDataset(test_recs), seed, fraction)
 
 

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,22 +29,20 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 PROGRESS_EVERY = 100  # sweeps between on_progress reports
 
 
+def _parse_stopwords(text: str) -> frozenset[str]:
+    tokens = (line.strip().lower() for line in text.splitlines())
+    return frozenset(t for t in tokens if t and not t.startswith("#"))
+
+
 def load_stopwords(path) -> frozenset[str]:
     """One token per line; blank lines and '#' comments ignored."""
-    words = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        token = raw.strip().lower()
-        if token and not token.startswith("#"):
-            words.add(token)
-    return frozenset(words)
+    return _parse_stopwords(Path(path).read_text(encoding="utf-8"))
 
 
 def default_stopwords() -> frozenset[str]:
     """The English stoplist shipped with the package."""
-    text = resources.files("topiccf").joinpath("stopwords.txt").read_text(encoding="utf-8")
-    return frozenset(
-        t.strip().lower() for t in text.splitlines() if t.strip() and not t.startswith("#")
-    )
+    return _parse_stopwords(
+        resources.files("topiccf").joinpath("stopwords.txt").read_text(encoding="utf-8"))
 
 
 def tokenize(text: str, stopwords: frozenset[str] = frozenset()) -> list[str]:
@@ -260,23 +258,32 @@ def item_profiles(model: TopicModel) -> dict[int, ItemTopicProfile]:
     }
 
 
-def save_theta(model: TopicModel, path) -> None:
-    """Rows ``item_id,p_0,...,p_{T-1}`` in item_id order."""
+def write_topic_rows(rows: Iterable[tuple[int, np.ndarray]], path, trailer: str = "") -> None:
+    """Rows ``id,p_0,...,p_{T-1}`` (floats by repr), then ``trailer`` verbatim."""
     with open(path, "w", encoding="utf-8") as fh:
-        for d, item_id in enumerate(model.item_ids):
-            fh.write(f"{item_id}," + ",".join(repr(float(x)) for x in model.theta[d]) + "\n")
+        for row_id, dist in rows:
+            fh.write(f"{row_id}," + ",".join(repr(float(x)) for x in dist) + "\n")
+        fh.write(trailer)
 
 
-def load_item_profiles(path) -> dict[int, ItemTopicProfile]:
-    profiles: dict[int, ItemTopicProfile] = {}
+def read_topic_rows(path) -> list[tuple[int, np.ndarray]]:
+    """Inverse of write_topic_rows; '#' lines are skipped and ``id,`` reads as an empty row."""
+    rows = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.strip() or line.startswith("#"):
             continue
-        fields = line.split(",")
-        item_id = int(fields[0])
-        dist = np.array([float(x) for x in fields[1:]])
-        profiles[item_id] = ItemTopicProfile(item_id, dist)
-    return profiles
+        head, _, rest = line.partition(",")
+        rows.append((int(head), np.array([float(x) for x in rest.split(",")] if rest else [])))
+    return rows
+
+
+def save_theta(model: TopicModel, path) -> None:
+    """Rows ``item_id,p_0,...,p_{T-1}`` in item_id order."""
+    write_topic_rows(zip(model.item_ids, model.theta), path)
+
+
+def load_item_profiles(path) -> dict[int, ItemTopicProfile]:
+    return {i: ItemTopicProfile(i, dist) for i, dist in read_topic_rows(path)}
 
 
 def save_phi(model: TopicModel, path, threshold: float = 1e-6) -> None:

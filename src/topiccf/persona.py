@@ -9,11 +9,11 @@ documented get an undefined persona.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import lda
 from .ingest import RatingDataset
 from .lda import ItemTopicProfile
 
@@ -66,29 +66,17 @@ def write_personas_csv(personas: Mapping[int, UserPersona], path) -> None:
     """Rows ``user_id,p_0,...,p_{T-1}``; undefined personas persist as all-zero rows.
     A ``#undefined:<count>`` trailer records how many."""
     dims = {len(p.distribution) for p in personas.values() if p.defined}
-    dim = dims.pop() if dims else 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for user in sorted(personas):
-            p = personas[user]
-            if p.defined:
-                fh.write(f"{user}," + ",".join(repr(float(x)) for x in p.distribution) + "\n")
-            else:
-                fh.write(f"{user}," + ",".join("0.0" for _ in range(dim)) + "\n")
-        fh.write(f"#undefined:{undefined_count(personas)}\n")
+    zeros = np.zeros(dims.pop() if dims else 0)
+    lda.write_topic_rows(
+        ((u, personas[u].distribution if personas[u].defined else zeros) for u in sorted(personas)),
+        path, trailer=f"#undefined:{undefined_count(personas)}\n",
+    )
 
 
 def load_personas_csv(path) -> dict[int, UserPersona]:
-    """Inverse of write_personas_csv; all-zero rows come back undefined.
+    """Inverse of write_personas_csv; all-zero and empty rows come back undefined.
     documented_item_count is not persisted, so loaded personas carry None."""
-    personas: dict[int, UserPersona] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        user = int(fields[0])
-        dist = np.array([float(x) for x in fields[1:]])
-        if dist.size == 0 or not dist.any():
-            personas[user] = UserPersona(user, None, documented_item_count=0)
-        else:
-            personas[user] = UserPersona(user, dist)
-    return personas
+    return {
+        u: UserPersona(u, dist) if dist.any() else UserPersona(u, None, documented_item_count=0)
+        for u, dist in lda.read_topic_rows(path)
+    }

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from dataclasses import fields
+
 from topiccf.cli import (
     ALGORITHMS,
+    STAGES,
     RunConfig,
     main,
     read_config,
@@ -248,6 +251,34 @@ def test_bad_ks_flag_is_a_configuration_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "ks" in err and "'5,x'" in err
+
+
+@pytest.mark.parametrize("flag,key,value", [
+    ("--topics", "topics", "abc"),
+    ("--format", "format", "tsv"),
+    ("--relevance-threshold", "relevance_threshold", "x"),
+])
+def test_bad_scalar_flag_is_a_configuration_error(tmp_path, capsys, flag, key, value):
+    rc = main(["split", "--out", str(tmp_path / "out"), "--ratings", "x.csv", flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert key in err and repr(value) in err
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_help_lists_every_config_field_with_its_default(stage, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main([stage, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for f in fields(RunConfig):
+        value = getattr(RunConfig(), f.name)
+        default = ("none" if value is None
+                   else ",".join(map(str, value)) if isinstance(value, tuple) else str(value))
+        entry = text.split(f" --{f.name.replace('_', '-')} {f.name.upper()} ", 1)[1]
+        assert entry.split("(default: ", 1)[1].startswith(default + ")"), f.name
 
 
 def test_missing_ratings_file(tmp_path, capsys):

@@ -71,7 +71,7 @@ def test_unknown_format_rejected():
 def test_index_consistency():
     ds = parse_ratings(io.StringIO("1,1,5\n1,2,4\n2,1,3\n3,3,1\n"), "csv")
     assert sum(len(v) for v in ds.by_user.values()) == len(ds.records)
-    assert sum(len(v) for v in ds.by_item.values()) == len(ds.records)
+    assert sum(len(ds.item_users(i)) for i in ds.items()) == len(ds.records)
     assert ds.num_users == 3
     assert ds.num_items == 3
 

@@ -117,3 +117,13 @@ def test_personas_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded[7].distribution, personas[7].distribution)
     assert not loaded[8].defined
     assert undefined_count(loaded) == 1
+
+
+def test_all_undefined_personas_csv_round_trip(tmp_path):
+    profiles = _profiles({1: [0.8, 0.2]})
+    personas = {u: build_persona(u, [(99, 3.0)], profiles) for u in (1, 2)}
+    path = tmp_path / "personas.csv"
+    write_personas_csv(personas, path)
+    loaded = load_personas_csv(path)
+    assert sorted(loaded) == [1, 2]
+    assert undefined_count(loaded) == 2
