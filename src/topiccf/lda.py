@@ -290,11 +290,10 @@ def save_phi(model: TopicModel, path, threshold: float = 1e-6) -> None:
     """Rows ``topic,token,probability`` above threshold; smoothing parameters in the header."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# T={model.T} alpha_sum={model.alpha_sum!r} beta={model.beta!r}\n")
-        for t in range(model.T):
-            row = model.phi[t]
-            for w in range(len(model.vocab)):
-                if row[w] > threshold:
-                    fh.write(f"{t},{model.vocab.tokens[w]},{float(row[w])!r}\n")
+        tokens = model.vocab.tokens
+        for t, row in enumerate(model.phi):
+            probs = row.tolist()  # one row at a time: a whole-matrix list costs ~30 bytes a cell
+            fh.write("".join(f"{t},{tok},{p!r}\n" for tok, p in zip(tokens, probs) if p > threshold))
 
 
 def save_topics(model: TopicModel, path, top_n: int = 20) -> None:

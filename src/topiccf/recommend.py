@@ -3,13 +3,14 @@ variant, and user-based / item-based CF baselines.
 
 Neighborhood recommenders rank candidate items by total_weight: the fraction
 of the neighborhood that liked the item. Baselines rank by a similarity-
-weighted average of neighbor (or own) ratings. All ties break by ascending id
-so every run is reproducible.
+weighted average of neighbor (or own) ratings. Every top-N neighborhood and
+every top-K list is picked by ``_best``: highest score first, ties by
+ascending id, so every run is reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .ingest import RatingDataset
 from .persona import UserPersona
@@ -47,6 +48,22 @@ class RecommendationList:
         return [r.item_id for r in self.items]
 
 
+def _best(scored: Iterable[tuple[int, float]], n: int) -> list[tuple[int, float]]:
+    """The n best (id, score) pairs, ordered by (-score, id)."""
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:n]
+
+
+def _ranked(
+    user: int, scores: Mapping[int, float], train: RatingDataset, K: int
+) -> RecommendationList:
+    """The top K of {item: score}, leaving out the user's own train items."""
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    rated = train.user_items(user)
+    best = _best(((item, s) for item, s in scores.items() if item not in rated), K)
+    return RecommendationList(user, tuple(Recommendation(item, s) for item, s in best))
+
+
 def build_neighborhood(user: int, sim: SimilarityFn, train: RatingDataset, N: int) -> NeighborSet:
     """Top-N other train users by sim; undefined or non-positive scores are
     excluded even if that leaves fewer than N."""
@@ -59,8 +76,7 @@ def build_neighborhood(user: int, sim: SimilarityFn, train: RatingDataset, N: in
         s = sim(user, other)
         if s.defined and s.value > 0.0:
             scored.append((other, s.value))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return NeighborSet(user, tuple(scored[:N]))
+    return NeighborSet(user, tuple(_best(scored, N)))
 
 
 def recommend_neighborhood(
@@ -70,35 +86,20 @@ def recommend_neighborhood(
     K: int,
     like_threshold: float = 1.0,
 ) -> RecommendationList:
-    """Rank every item some neighbor rated by the fraction of the neighborhood
-    that liked it (rating >= like_threshold), drop the user's own train items,
-    return the top K.
+    """Rank every item some neighbor liked (rating >= like_threshold) by the
+    fraction of the neighborhood that liked it, drop the user's own train
+    items, return the top K.
 
     The denominator is the actual neighbor count, which may be below the
-    nominal N for sparse users. Candidates nobody liked carry weight 0 and are
-    dropped rather than ranked.
+    nominal N for sparse users. Candidates nobody liked are not ranked.
     """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    nbrs = neighbors.neighbors
-    if not nbrs:
-        return RecommendationList(user, ())
     like_counts: dict[int, int] = {}
-    for v, _ in nbrs:
+    for v, _ in neighbors.neighbors:
         for item, rating in train.by_user.get(v, ()):
             if rating >= like_threshold:
                 like_counts[item] = like_counts.get(item, 0) + 1
-            else:
-                like_counts.setdefault(item, 0)
-    rated = train.user_items(user)
-    denom = len(nbrs)
-    scored = [
-        Recommendation(item, count / denom)
-        for item, count in like_counts.items()
-        if count > 0 and item not in rated
-    ]
-    scored.sort(key=lambda r: (-r.score, r.item_id))
-    return RecommendationList(user, tuple(scored[:K]))
+    denom = len(neighbors.neighbors)
+    return _ranked(user, {item: count / denom for item, count in like_counts.items()}, train, K)
 
 
 def recommend_user_based(
@@ -114,35 +115,22 @@ def recommend_user_based(
         raise ValueError(f"unknown similarity {sim!r}; expected one of {USER_SIMILARITIES}")
     sim_fn = pearson_similarity if sim == "pearson" else llr_similarity
     neighbors = build_neighborhood(user, lambda a, b: sim_fn(a, b, train), train, N)
-    if not neighbors.neighbors:
-        return RecommendationList(user, ())
     num: dict[int, float] = {}
     den: dict[int, float] = {}
     for v, s in neighbors.neighbors:
         for item, rating in train.by_user.get(v, ()):
             num[item] = num.get(item, 0.0) + s * rating
             den[item] = den.get(item, 0.0) + abs(s)
-    rated = train.user_items(user)
-    scored = [
-        Recommendation(item, num[item] / den[item])
-        for item in num
-        if item not in rated and den[item] > 0.0
-    ]
-    scored.sort(key=lambda r: (-r.score, r.item_id))
-    return RecommendationList(user, tuple(scored[:K]))
+    return _ranked(user, {item: num[item] / den[item] for item in num}, train, K)
 
 
 def recommend_item_based(user: int, train: RatingDataset, K: int = 75) -> RecommendationList:
     """Standard item-based CF: predicted rating for an unseen item is the
     item-LLR-weighted average of the user's own ratings; zero-similarity terms
     are skipped."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
     rated = train.by_user.get(user, ())
-    if not rated:
-        return RecommendationList(user, ())
     rated_set = train.user_items(user)
-    scored = []
+    scores: dict[int, float] = {}
     for item in train.items():
         if item in rated_set:
             continue
@@ -153,9 +141,8 @@ def recommend_item_based(user: int, train: RatingDataset, K: int = 75) -> Recomm
                 num += s.value * rating
                 den += s.value
         if den > 0.0:
-            scored.append(Recommendation(item, num / den))
-    scored.sort(key=lambda r: (-r.score, r.item_id))
-    return RecommendationList(user, tuple(scored[:K]))
+            scores[item] = num / den
+    return _ranked(user, scores, train, K)
 
 
 def recommend_hybrid(

@@ -9,6 +9,7 @@ import math
 import warnings
 
 import numpy as np
+import scipy.special
 import scipy.stats
 
 FLOOR = 1e-10
@@ -17,9 +18,14 @@ FLOOR = 1e-10
 # ---------- similarity ----------
 
 def naive_symmetric_kl(p, q):
+    """KL(p||q) + KL(q||p) of the floored vectors, each renormalised to sum
+    to 1: the formula scipy.stats.entropy(p, q) evaluates, without its
+    per-call argument checking."""
     p = np.maximum(np.asarray(p, dtype=float), FLOOR)
     q = np.maximum(np.asarray(q, dtype=float), FLOOR)
-    return float(scipy.stats.entropy(p, q) + scipy.stats.entropy(q, p))
+    p = p / np.sum(p)
+    q = q / np.sum(q)
+    return float(np.sum(scipy.special.rel_entr(p, q)) + np.sum(scipy.special.rel_entr(q, p)))
 
 
 def naive_topic_sim(pu, pv):

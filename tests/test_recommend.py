@@ -239,6 +239,25 @@ def test_topic_only_undefined_persona_empty():
     assert recommend_topic_only(1, personas, train, N=5, K=5).items == ()
 
 
+_RECOMMENDERS = {
+    "hybrid": lambda u, ps, t, k: recommend_hybrid(u, ps, t, N=5, K=k),
+    "topic_only": lambda u, ps, t, k: recommend_topic_only(u, ps, t, N=5, K=k),
+    "ubcf_pearson": lambda u, ps, t, k: recommend_user_based(u, t, "pearson", N=5, K=k),
+    "ubcf_llr": lambda u, ps, t, k: recommend_user_based(u, t, "llr", N=5, K=k),
+    "ibcf_llr": lambda u, ps, t, k: recommend_item_based(u, t, K=k),
+}
+
+
+@pytest.mark.parametrize("K", [0, -1])
+@pytest.mark.parametrize("algo", sorted(_RECOMMENDERS))
+def test_every_recommender_rejects_nonpositive_k(algo, K):
+    rng = np.random.default_rng(1)
+    train = random_dataset(rng)
+    personas = random_personas(rng, train.users())
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        _RECOMMENDERS[algo](3, personas, train, K)
+
+
 # ---------- invariants & oracle equivalence ----------
 
 def test_recommenders_match_naive_oracles():
