@@ -6,7 +6,9 @@ All randomness flows from the two named seeds; reruns with identical inputs
 and config produce byte-identical artifacts.
 
 Config precedence: defaults < config file (--config, key=value lines) < flags.
-The effective config is written to <out>/config.txt alongside the artifacts.
+``main`` runs every stage the same way: build and validate the config, check
+the stage's required keys and upstream files, create the output directory,
+run ``cmd_<stage>``, then write the effective config to <out>/config.txt.
 """
 from __future__ import annotations
 
@@ -14,12 +16,27 @@ import argparse
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import evaluate as ev
 from . import ingest, lda, persona, recommend, similarity
 from .ingest import ConfigurationError, RATING_MAX, RATING_MIN
 
-ALGORITHMS = ("hybrid", "topic_only", "ubcf_pearson", "ubcf_llr", "ibcf_llr")
+# Algorithm name -> (reads personas.csv, recommender(user, train, personas, cfg)).
+# The order is the evaluation and report order.
+RECOMMENDERS = {
+    "hybrid": (True, lambda u, train, personas, c: recommend.recommend_hybrid(
+        u, personas, train, c.neighbors, c.max_k, c.like_threshold)),
+    "topic_only": (True, lambda u, train, personas, c: recommend.recommend_topic_only(
+        u, personas, train, c.neighbors, c.max_k, c.like_threshold)),
+    "ubcf_pearson": (False, lambda u, train, _, c: recommend.recommend_user_based(
+        u, train, "pearson", c.neighbors, c.max_k)),
+    "ubcf_llr": (False, lambda u, train, _, c: recommend.recommend_user_based(
+        u, train, "llr", c.neighbors, c.max_k)),
+    "ibcf_llr": (False, lambda u, train, _, c: recommend.recommend_item_based(
+        u, train, c.max_k)),
+}
+ALGORITHMS = tuple(RECOMMENDERS)
 
 
 def _opt(default, help_text: str):
@@ -67,6 +84,12 @@ class RunConfig:
         if not (RATING_MIN <= self.like_threshold <= RATING_MAX):
             raise ConfigurationError(
                 f"like_threshold must be in [{RATING_MIN}, {RATING_MAX}]"
+            )
+        if self.relevance_threshold is not None and not (
+                RATING_MIN <= self.relevance_threshold <= RATING_MAX):
+            raise ConfigurationError(
+                f"relevance_threshold must be none or in [{RATING_MIN}, {RATING_MAX}], "
+                f"got {self.relevance_threshold}"
             )
         if not self.ks or list(self.ks) != sorted(set(self.ks)) or self.ks[0] < 1:
             raise ConfigurationError("ks must be strictly increasing positive integers")
@@ -135,10 +158,15 @@ def write_config(cfg: RunConfig, path) -> None:
             fh.write(f"{f.name}={_render(getattr(cfg, f.name))}\n")
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _flag(name: str) -> str:  # alpha_sum -> --alpha-sum
+    return "--" + name.replace("_", "-")
+
+
+def _require_inputs(out: Path, reads: dict[str, str]) -> None:
+    """Raise unless every file in ``reads`` (name -> stage that writes it) is in ``out``."""
+    for name, producer in reads.items():
+        if not (out / name).exists():
+            raise ConfigurationError(f"missing input {out / name}; run {producer} first")
 
 
 def _print_summary(label: str, ds: ingest.RatingDataset) -> None:
@@ -150,27 +178,18 @@ def _print_summary(label: str, ds: ingest.RatingDataset) -> None:
     )
 
 
-def cmd_split(cfg: RunConfig) -> None:
-    cfg.validate()
-    if not cfg.ratings:
-        raise ConfigurationError("split requires --ratings")
-    out = _outdir(cfg)
+def cmd_split(cfg: RunConfig, out: Path) -> None:
     ds = ingest.parse_ratings(cfg.ratings, cfg.format)
     if ds.duplicates_dropped:
         print(f"warning: {ds.duplicates_dropped} duplicate (user,item) ratings dropped (kept last)")
     pair = ingest.split_train_test(ds, cfg.fraction, cfg.split_seed)
     ingest.write_ratings_csv(pair.train, out / "train.csv")
     ingest.write_ratings_csv(pair.test, out / "test.csv")
-    write_config(cfg, out / "config.txt")
     _print_summary("train", pair.train)
     _print_summary("test", pair.test)
 
 
-def cmd_train(cfg: RunConfig) -> None:
-    cfg.validate()
-    if not cfg.corpus:
-        raise ConfigurationError("train requires --corpus")
-    out = _outdir(cfg)
+def cmd_train(cfg: RunConfig, out: Path) -> None:
     corpus = ingest.load_corpus(cfg.corpus)
     if not corpus.docs:
         raise ConfigurationError(f"no documents loaded from {cfg.corpus}")
@@ -187,20 +206,13 @@ def cmd_train(cfg: RunConfig) -> None:
     lda.save_theta(model, out / "theta.csv")
     lda.save_phi(model, out / "phi.csv")
     lda.save_topics(model, out / "topics.txt")
-    write_config(cfg, out / "config.txt")
     print(f"model written: theta.csv ({len(encoded)} rows), phi.csv, topics.txt")
 
 
-def cmd_personas(cfg: RunConfig) -> None:
-    cfg.validate()
-    out = _outdir(cfg)
+def cmd_personas(cfg: RunConfig, out: Path) -> None:
     theta_path = out / "theta.csv"
-    train_path = out / "train.csv"
-    for p in (theta_path, train_path):
-        if not p.exists():
-            raise ConfigurationError(f"missing input {p}; run earlier stages first")
     profiles = lda.load_item_profiles(theta_path)
-    train = ingest.parse_ratings(train_path, "csv")
+    train = ingest.parse_ratings(out / "train.csv", "csv")
     personas = persona.build_all_personas(train, profiles)
     n_undef = persona.undefined_count(personas)
     if n_undef == len(personas):
@@ -209,43 +221,19 @@ def cmd_personas(cfg: RunConfig) -> None:
             f"{theta_path}; the corpus item ids likely do not match the rating item ids"
         )
     persona.write_personas_csv(personas, out / "personas.csv")
-    write_config(cfg, out / "config.txt")
     print(f"{len(personas)} personas written ({n_undef} undefined)")
 
 
-def _make_recommender(algo: str, train, personas, cfg: RunConfig):
-    N, K, like = cfg.neighbors, cfg.max_k, cfg.like_threshold
-    if algo == "hybrid":
-        return lambda u: recommend.recommend_hybrid(u, personas, train, N, K, like)
-    if algo == "topic_only":
-        return lambda u: recommend.recommend_topic_only(u, personas, train, N, K, like)
-    if algo == "ubcf_pearson":
-        return lambda u: recommend.recommend_user_based(u, train, "pearson", N, K)
-    if algo == "ubcf_llr":
-        return lambda u: recommend.recommend_user_based(u, train, "llr", N, K)
-    if algo == "ibcf_llr":
-        return lambda u: recommend.recommend_item_based(u, train, K)
-    raise ConfigurationError(f"unknown algorithm {algo!r}; valid: {', '.join(ALGORITHMS)}")
-
-
-def cmd_evaluate(cfg: RunConfig, per_user_detail: bool = False,
+def cmd_evaluate(cfg: RunConfig, out: Path, per_user_detail: bool = False,
                  dump_similarities: bool = False) -> None:
-    cfg.validate()
-    out = _outdir(cfg)
-    train_path, test_path = out / "train.csv", out / "test.csv"
-    for p in (train_path, test_path):
-        if not p.exists():
-            raise ConfigurationError(f"missing input {p}; run split first")
-    train = ingest.parse_ratings(train_path, "csv")
-    test = ingest.parse_ratings(test_path, "csv")
+    train = ingest.parse_ratings(out / "train.csv", "csv")
+    test = ingest.parse_ratings(out / "test.csv", "csv")
 
     selected = [a for a in ALGORITHMS if a in cfg.algorithms]
     personas = {}
-    if any(a in ("hybrid", "topic_only") for a in selected):
-        personas_path = out / "personas.csv"
-        if not personas_path.exists():
-            raise ConfigurationError(f"missing input {personas_path}; run personas first")
-        personas = persona.load_personas_csv(personas_path)
+    if dump_similarities or any(RECOMMENDERS[a][0] for a in selected):
+        _require_inputs(out, {"personas.csv": "personas"})
+        personas = persona.load_personas_csv(out / "personas.csv")
         n_undef = persona.undefined_count(personas)
         if n_undef:
             print(f"note: {n_undef} personas undefined; hybrid falls back to "
@@ -256,8 +244,8 @@ def cmd_evaluate(cfg: RunConfig, per_user_detail: bool = False,
 
     reports = []
     for algo in selected:
-        recommender = _make_recommender(algo, train, personas, cfg)
-        rec_lists = {u: recommender(u) for u in sorted(test.by_user)}
+        _, recommender = RECOMMENDERS[algo]
+        rec_lists = {u: recommender(u, train, personas, cfg) for u in sorted(test.by_user)}
         recommend.write_recommendations_csv(rec_lists, out / f"recs_{algo}.csv")
 
         detail_fh = None
@@ -279,22 +267,26 @@ def cmd_evaluate(cfg: RunConfig, per_user_detail: bool = False,
         print(f"{algo}: precision@{at.K}={at.precision:.4f} recall@{at.K}={at.recall:.4f} "
               f"({at.users_evaluated} users)")
     ev.emit_report(reports, out / "report.csv")
-    write_config(cfg, out / "config.txt")
     print(f"report written to {out / 'report.csv'}")
 
 
-# Stage name -> (handler, help). Each handler looks its cmd_* function up when
-# called, so a wrapper installed on the module attribute (bench/tracing.py) runs.
+class Stage(NamedTuple):
+    help: str
+    needs: tuple[str, ...]    # RunConfig fields that must be set
+    reads: dict[str, str]     # file in cfg.out -> the stage that writes it
+    switches: dict[str, str]  # on/off flag -> help; passed to cmd_<stage> as a keyword
+
+
 STAGES = {
-    "split": (lambda cfg, args: cmd_split(cfg),
-              "parse ratings and write deterministic train/test splits"),
-    "train": (lambda cfg, args: cmd_train(cfg),
-              "train the topic model over the item corpus"),
-    "personas": (lambda cfg, args: cmd_personas(cfg),
-                 "project train users into topic space"),
-    "evaluate": (lambda cfg, args: cmd_evaluate(cfg, args.per_user_detail,
-                                                args.dump_similarities),
-                 "run recommenders and emit the precision/recall/f report"),
+    "split": Stage("parse ratings and write deterministic train/test splits",
+                   ("ratings",), {}, {}),
+    "train": Stage("train the topic model over the item corpus", ("corpus",), {}, {}),
+    "personas": Stage("project train users into topic space",
+                      (), {"theta.csv": "train", "train.csv": "split"}, {}),
+    "evaluate": Stage("run recommenders and emit the precision/recall/f report",
+                      (), {"train.csv": "split", "test.csv": "split"},
+                      {"per_user_detail": "write per-user metric csvs",
+                       "dump_similarities": "write the all-pairs similarity audit csv"}),
 }
 
 
@@ -306,18 +298,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = RunConfig()
-    for name, (_, help_text) in STAGES.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help)
         p.add_argument("--config", help="key=value config file (flags override)")
         for f in fields(RunConfig):
             default = _render(getattr(defaults, f.name)) or "none"
-            p.add_argument("--" + f.name.replace("_", "-"),
-                           help=f"{f.metadata['help']} (default: {default})")
-        if name == "evaluate":
-            p.add_argument("--per-user-detail", action="store_true",
-                           help="write per-user metric csvs")
-            p.add_argument("--dump-similarities", action="store_true",
-                           help="write the all-pairs similarity audit csv")
+            p.add_argument(_flag(f.name), help=f"{f.metadata['help']} (default: {default})")
+        for switch, help_text in stage.switches.items():
+            p.add_argument(_flag(switch), action="store_true", help=help_text)
     return parser
 
 
@@ -333,11 +321,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler, _ = STAGES[args.command]
+    stage = STAGES[args.command]
     try:
-        handler(_config_from_args(args), args)
-    except (ConfigurationError, ingest.ParseError, ingest.RatingRangeError,
-            FileNotFoundError) as exc:
+        cfg = _config_from_args(args)
+        cfg.validate()
+        for key in stage.needs:
+            if not getattr(cfg, key):
+                raise ConfigurationError(f"{args.command} requires {_flag(key)}")
+        out = Path(cfg.out)
+        _require_inputs(out, stage.reads)
+        out.mkdir(parents=True, exist_ok=True)
+        # Looked up when called, so a wrapper installed on cli.cmd_<stage> runs.
+        globals()[f"cmd_{args.command}"](
+            cfg, out, **{s: getattr(args, s) for s in stage.switches})
+        write_config(cfg, out / "config.txt")
+    except (ConfigurationError, ingest.ParseError, ingest.RatingRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

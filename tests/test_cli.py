@@ -285,3 +285,66 @@ def test_missing_ratings_file(tmp_path, capsys):
     rc = main(["split", "--ratings", str(tmp_path / "absent.csv"),
                "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+def test_ubcf_only_similarity_audit_has_topic_values(tiny_inputs, tmp_path):
+    ratings, corpus = tiny_inputs
+    out = tmp_path / "out"
+    args = _base_args(ratings, corpus, out)
+    for stage in ("split", "train", "personas"):
+        assert main([stage] + args) == 0
+    assert main(["evaluate"] + args + ["--algorithms", "ubcf_llr", "--dump-similarities"]) == 0
+    rows = [line.split(",") for line in (out / "similarities.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 8 * 7 // 2
+    assert all(row[2] != "undefined" for row in rows)
+
+
+@pytest.mark.parametrize("upstream,command,missing,producer", [
+    (["split"], ["personas"], "theta.csv", "train"),
+    (["train"], ["personas"], "train.csv", "split"),
+    ([], ["evaluate"], "train.csv", "split"),
+    (["split"], ["evaluate", "--algorithms", "ubcf_llr", "--dump-similarities"],
+     "personas.csv", "personas"),
+])
+def test_missing_input_names_the_stage_that_writes_it(tiny_inputs, tmp_path, capsys,
+                                                      upstream, command, missing, producer):
+    ratings, corpus = tiny_inputs
+    out = tmp_path / "out"
+    args = _base_args(ratings, corpus, out)
+    for stage in upstream:
+        assert main([stage] + args) == 0
+    capsys.readouterr()
+    assert main(command + args) == 2
+    assert f"missing input {out / missing}; run {producer} first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["personas"],
+    ["evaluate"],
+    ["train"],
+    ["split", "--ratings", "r.csv", "--fraction", "1.0"],
+])
+def test_failed_check_creates_no_output_directory(tmp_path, argv):
+    out = tmp_path / "nowhere" / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not (tmp_path / "nowhere").exists()
+
+
+def test_os_error_is_exit_2(tmp_path, capsys):
+    rc = main(["split", "--ratings", str(tmp_path), "--format", "csv",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["6", "0.5"])
+def test_relevance_threshold_out_of_range_rejected(tiny_inputs, tmp_path, capsys, value):
+    ratings, corpus = tiny_inputs
+    out = tmp_path / "out"
+    args = _base_args(ratings, corpus, out)
+    assert main(["split"] + args) == 0
+    capsys.readouterr()
+    rc = main(["evaluate"] + args + ["--algorithms", "ubcf_llr", "--relevance-threshold", value])
+    assert rc == 2
+    assert "relevance_threshold must be" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
