@@ -7,8 +7,8 @@ and config produce byte-identical artifacts.
 
 Config precedence: defaults < config file (--config, key=value lines) < flags.
 ``main`` runs every stage the same way: build and validate the config, check
-the stage's required keys and upstream files, create the output directory,
-run ``cmd_<stage>``, then write the effective config to <out>/config.txt.
+the stage's required keys, outside inputs and upstream files, create the output
+directory, run ``cmd_<stage>``, then write the effective config to config.txt.
 """
 from __future__ import annotations
 
@@ -245,7 +245,7 @@ def cmd_evaluate(cfg: RunConfig, out: Path, per_user_detail: bool = False,
     reports = []
     for algo in selected:
         _, recommender = RECOMMENDERS[algo]
-        rec_lists = {u: recommender(u, train, personas, cfg) for u in sorted(test.by_user)}
+        rec_lists = {u: recommender(u, train, personas, cfg) for u in test.users()}
         recommend.write_recommendations_csv(rec_lists, out / f"recs_{algo}.csv")
 
         detail_fh = None
@@ -273,18 +273,20 @@ def cmd_evaluate(cfg: RunConfig, out: Path, per_user_detail: bool = False,
 class Stage(NamedTuple):
     help: str
     needs: tuple[str, ...]    # RunConfig fields that must be set
+    inputs: tuple[str, ...]   # RunConfig fields naming outside paths that must exist, if set
     reads: dict[str, str]     # file in cfg.out -> the stage that writes it
     switches: dict[str, str]  # on/off flag -> help; passed to cmd_<stage> as a keyword
 
 
 STAGES = {
     "split": Stage("parse ratings and write deterministic train/test splits",
-                   ("ratings",), {}, {}),
-    "train": Stage("train the topic model over the item corpus", ("corpus",), {}, {}),
+                   ("ratings",), ("ratings",), {}, {}),
+    "train": Stage("train the topic model over the item corpus",
+                   ("corpus",), ("corpus", "stopwords"), {}, {}),
     "personas": Stage("project train users into topic space",
-                      (), {"theta.csv": "train", "train.csv": "split"}, {}),
+                      (), (), {"theta.csv": "train", "train.csv": "split"}, {}),
     "evaluate": Stage("run recommenders and emit the precision/recall/f report",
-                      (), {"train.csv": "split", "test.csv": "split"},
+                      (), (), {"train.csv": "split", "test.csv": "split"},
                       {"per_user_detail": "write per-user metric csvs",
                        "dump_similarities": "write the all-pairs similarity audit csv"}),
 }
@@ -328,6 +330,10 @@ def main(argv=None) -> int:
         for key in stage.needs:
             if not getattr(cfg, key):
                 raise ConfigurationError(f"{args.command} requires {_flag(key)}")
+        for key in stage.inputs:
+            path = getattr(cfg, key)
+            if path is not None and not Path(path).exists():
+                raise ConfigurationError(f"missing input {path} ({_flag(key)})")
         out = Path(cfg.out)
         _require_inputs(out, stage.reads)
         out.mkdir(parents=True, exist_ok=True)

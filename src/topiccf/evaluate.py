@@ -70,7 +70,7 @@ def evaluate_sweep(
         raise ValueError(f"max_K={max_K} below largest K={Ks[-1]}")
     users = []
     relevant_by_user: dict[int, set[int]] = {}
-    for user in sorted(test.by_user):
+    for user in test.users():
         relevant = {
             item
             for item, rating in test.by_user[user]

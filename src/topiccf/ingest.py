@@ -12,8 +12,10 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -44,8 +46,7 @@ class ConfigurationError(ValueError):
     """Invalid parameter or degenerate configuration."""
 
 
-@dataclass(frozen=True)
-class RatingRecord:
+class RatingRecord(NamedTuple):
     user_id: int
     item_id: int
     rating: float
@@ -53,26 +54,28 @@ class RatingRecord:
 
 
 class RatingDataset:
-    """Immutable user-item ratings with a per-user index.
+    """Immutable user-item ratings, one per (user, item): the last one given.
 
-    ``by_user`` holds (item_id, rating) tuples; item-set and user-set views
-    are pre-built for similarity computations.
+    ``duplicates_dropped`` counts the others. ``records`` are in (user, item)
+    order; ``by_user`` maps users, ascending, to (item_id, rating) tuples in
+    item order. Item-set and user-set views serve the similarity measures.
     """
 
-    def __init__(self, records: Iterable[RatingRecord], duplicates_dropped: int = 0):
-        recs = tuple(records)
-        by_user: dict[int, list[tuple[int, float]]] = {}
+    def __init__(self, records: Iterable[RatingRecord]):
+        given = list(records)
+        latest = {(r.user_id, r.item_id): r for r in given}
+        # (user, item) is unique here, so tuple order is (user, item) order.
+        self.records = tuple(sorted(latest.values()))
+        self.duplicates_dropped = len(given) - len(self.records)
+        groups = groupby(self.records, attrgetter("user_id"))
+        self.by_user = {u: tuple((r.item_id, r.rating) for r in g) for u, g in groups}
         item_users: dict[int, list[int]] = {}
-        for r in recs:
-            by_user.setdefault(r.user_id, []).append((r.item_id, r.rating))
+        for r in self.records:
             item_users.setdefault(r.item_id, []).append(r.user_id)
-        self.records = recs
-        self.by_user = {u: tuple(v) for u, v in by_user.items()}
         self.num_users = len(self.by_user)
         self.num_items = len(item_users)
-        self.duplicates_dropped = duplicates_dropped
         self._user_sets = {u: frozenset(i for i, _ in v) for u, v in self.by_user.items()}
-        self._item_sets = {i: frozenset(v) for i, v in item_users.items()}
+        self._item_sets = {i: frozenset(item_users[i]) for i in sorted(item_users)}
 
     def user_items(self, user_id: int) -> frozenset[int]:
         return self._user_sets.get(user_id, frozenset())
@@ -81,10 +84,10 @@ class RatingDataset:
         return self._item_sets.get(item_id, frozenset())
 
     def users(self) -> list[int]:
-        return sorted(self.by_user)
+        return list(self.by_user)
 
     def items(self) -> list[int]:
-        return sorted(self._item_sets)
+        return list(self._item_sets)
 
     def record_set(self) -> frozenset[RatingRecord]:
         return frozenset(self.records)
@@ -157,29 +160,22 @@ def parse_ratings(source, fmt: str = "movielens_dat") -> RatingDataset:
     """
     if fmt not in FORMATS:
         raise ConfigurationError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    seen: dict[tuple[int, int], RatingRecord] = {}
-    duplicates = 0
     fh, owned = _open_text(source)
     try:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            rec = _parse_line(line, fmt, line_no)
-            key = (rec.user_id, rec.item_id)
-            if key in seen:
-                duplicates += 1
-            seen[key] = rec
+        return RatingDataset(
+            _parse_line(line, fmt, line_no)
+            for line_no, line in enumerate(map(str.strip, fh), start=1)
+            if line
+        )
     finally:
         if owned:
             fh.close()
-    return RatingDataset(seen.values(), duplicates_dropped=duplicates)
 
 
 def write_ratings_csv(ds: RatingDataset, path) -> None:
-    """Write header-less ``user,item,rating[,timestamp]`` rows sorted by (user, item)."""
+    """Write header-less ``user,item,rating[,timestamp]`` rows in (user, item) order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in sorted(ds.records, key=lambda r: (r.user_id, r.item_id)):
+        for rec in ds.records:
             base = f"{rec.user_id},{rec.item_id},{float(rec.rating)!r}"
             if rec.timestamp is not None:
                 base += f",{rec.timestamp}"
@@ -245,13 +241,10 @@ def split_train_test(ds: RatingDataset, fraction: float, seed: int) -> SplitPair
     """
     if not (0.0 < fraction < 1.0):
         raise ConfigurationError(f"fraction must be in (0, 1), got {fraction}")
-    by_user: dict[int, list[RatingRecord]] = {}
-    for r in ds.records:
-        by_user.setdefault(r.user_id, []).append(r)
     train_recs: list[RatingRecord] = []
     test_recs: list[RatingRecord] = []
-    for user in sorted(by_user):
-        recs = sorted(by_user[user], key=lambda r: r.item_id)
+    for user, group in groupby(ds.records, attrgetter("user_id")):
+        recs = list(group)  # in item order
         rng = np.random.default_rng([seed, user])
         order = rng.permutation(len(recs))
         n_train = math.floor(fraction * len(recs) + 0.5)

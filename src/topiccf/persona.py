@@ -54,7 +54,7 @@ def build_all_personas(
     """One persona per train user, keyed by user_id."""
     return {
         u: build_persona(u, train.by_user[u], profiles)
-        for u in sorted(train.by_user)
+        for u in train.users()
     }
 
 

@@ -63,11 +63,8 @@ def pearson_similarity(u: int, v: int, train: RatingDataset) -> SimilarityScore:
     common = train.user_items(u) & train.user_items(v)
     if len(common) < 2:
         return UNDEFINED
-    ru = dict(train.by_user[u])
-    rv = dict(train.by_user[v])
-    items = sorted(common)
-    xs = [ru[i] for i in items]
-    ys = [rv[i] for i in items]
+    xs = [r for i, r in train.by_user[u] if i in common]  # by_user is in item order
+    ys = [r for i, r in train.by_user[v] if i in common]
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
     dot = ssx = ssy = 0.0
@@ -118,6 +115,13 @@ def item_llr_similarity(i: int, j: int, train: RatingDataset) -> SimilarityScore
     return _llr(train.item_users(i), train.item_users(j), train.num_users)
 
 
+def _combine(topic: SimilarityScore, overlap: SimilarityScore) -> SimilarityScore:
+    """The hybrid rule: topic * LLR, or bare LLR when topic is undefined."""
+    if not topic.defined:
+        return overlap
+    return SimilarityScore(topic.value * overlap.value)
+
+
 def hybrid_similarity(
     u: int,
     v: int,
@@ -126,11 +130,8 @@ def hybrid_similarity(
 ) -> SimilarityScore:
     """topic_similarity * llr_similarity; falls back to LLR alone when either
     persona is undefined, so such users stay recommendable."""
-    topic = topic_similarity(personas.get(u), personas.get(v))
-    overlap = llr_similarity(u, v, train)
-    if not topic.defined:
-        return overlap
-    return SimilarityScore(topic.value * overlap.value)
+    return _combine(topic_similarity(personas.get(u), personas.get(v)),
+                    llr_similarity(u, v, train))
 
 
 def write_similarity_audit(
@@ -146,6 +147,6 @@ def write_similarity_audit(
             for b in users[a_pos + 1:]:
                 topic = topic_similarity(personas.get(a), personas.get(b))
                 llr = llr_similarity(a, b, train)
-                hyb = hybrid_similarity(a, b, personas, train)
+                hyb = _combine(topic, llr)
                 topic_field = f"{float(topic.value)!r}" if topic.defined else "undefined"
                 fh.write(f"{a},{b},{topic_field},{float(llr.value)!r},{float(hyb.value)!r}\n")

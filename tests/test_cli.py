@@ -330,6 +330,22 @@ def test_failed_check_creates_no_output_directory(tmp_path, argv):
     assert not (tmp_path / "nowhere").exists()
 
 
+@pytest.mark.parametrize("stage,flags,absent", [
+    ("split", ["--ratings", "{tmp}/absent.csv"], "{tmp}/absent.csv"),
+    ("train", ["--corpus", "{corpus}", "--stopwords", "{tmp}/nope.txt"], "{tmp}/nope.txt"),
+    ("train", ["--corpus", "{tmp}/nodir/"], "{tmp}/nodir/"),
+], ids=["split-ratings", "train-stopwords", "train-corpus-dir"])
+def test_missing_outside_input_creates_no_output_directory(tiny_inputs, tmp_path, capsys,
+                                                           stage, flags, absent):
+    _, corpus = tiny_inputs
+    fill = {"tmp": tmp_path, "corpus": corpus}
+    out = tmp_path / "o" / "x"
+    rc = main([stage] + [f.format(**fill) for f in flags] + ["--out", str(out)])
+    assert rc == 2
+    assert absent.format(**fill) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_os_error_is_exit_2(tmp_path, capsys):
     rc = main(["split", "--ratings", str(tmp_path), "--format", "csv",
                "--out", str(tmp_path / "out")])

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,29 @@ def test_duplicates_keep_last_and_count():
     ds = parse_ratings(io.StringIO("1,5,2.0\n1,5,4.0\n1,6,3.0\n"), "csv")
     assert ds.duplicates_dropped == 1
     assert dict(ds.by_user[1])[5] == 4.0
+
+
+def test_dataset_keeps_last_rating_per_pair():
+    ds = RatingDataset([
+        RatingRecord(1, 5, 2.0), RatingRecord(1, 6, 4.0), RatingRecord(1, 5, 4.0),
+        RatingRecord(2, 5, 3.0), RatingRecord(2, 7, 5.0),
+    ])
+    assert len(ds) == 4
+    assert ds.duplicates_dropped == 1
+    assert ds.by_user[1] == ((5, 4.0), (6, 4.0))
+    assert sum(len(v) for v in ds.by_user.values()) == len(ds)
+
+
+def test_dataset_orders_records_by_user_then_item():
+    rng = np.random.default_rng(3)
+    ordered = [RatingRecord(u, i, float(1 + (u * i) % 5)) for u in (2, 7, 9) for i in (1, 4, 8, 30)]
+    ds = RatingDataset(ordered[k] for k in rng.permutation(len(ordered)))
+    assert ds.records == tuple(ordered)
+    assert list(ds.by_user) == [2, 7, 9]
+    for u, pairs in ds.by_user.items():
+        assert pairs == tuple((r.item_id, r.rating) for r in ordered if r.user_id == u)
+    assert ds.users() == [2, 7, 9]
+    assert ds.items() == [1, 4, 8, 30]
 
 
 def test_wrong_field_count_reports_line_number():

@@ -58,6 +58,15 @@ def test_build_all_personas():
     assert all(p.defined for p in personas.values())
 
 
+def test_repeated_rating_weighs_its_item_once():
+    train = RatingDataset([
+        RatingRecord(1, 5, 2.0), RatingRecord(1, 6, 4.0), RatingRecord(1, 5, 4.0),
+        RatingRecord(2, 5, 3.0), RatingRecord(2, 7, 5.0),
+    ])
+    personas = build_all_personas(train, _profiles({5: [1.0, 0.0], 6: [0.0, 1.0]}))
+    np.testing.assert_allclose(personas[1].distribution, [0.5, 0.5], atol=1e-15)
+
+
 def test_build_all_personas_empty_train():
     assert build_all_personas(RatingDataset([]), {}) == {}
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topiccf.ingest import RatingDataset, RatingRecord
+from topiccf import similarity
 from topiccf.persona import UserPersona
 from topiccf.similarity import (
     hybrid_similarity,
@@ -267,6 +268,25 @@ def test_hybrid_falls_back_to_llr_when_persona_undefined():
     s = hybrid_similarity(1, 2, personas, train)
     assert s.defined
     assert s.value == pytest.approx(LLR_2_OF_4_4_N10, abs=1e-12)
+
+
+def test_audit_computes_each_pair_once(tmp_path, monkeypatch):
+    calls = {"topic": 0, "llr": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(similarity, "topic_similarity", counted("topic", topic_similarity))
+    monkeypatch.setattr(similarity, "llr_similarity", counted("llr", llr_similarity))
+    rng = np.random.default_rng(4)
+    train = random_dataset(rng)
+    personas = random_personas(rng, train.users(), undefined_fraction=0.2)
+    similarity.write_similarity_audit(tmp_path / "sims.csv", personas, train)
+    pairs = train.num_users * (train.num_users - 1) // 2
+    assert calls == {"topic": pairs, "llr": pairs}
 
 
 # ---------- brute-force equivalence on random instances ----------
