@@ -109,8 +109,8 @@ _TYPES = {f.name: f.type for f in fields(RunConfig)}
 def _parse_value(name: str, raw: str, where: str = ""):
     """Convert one raw flag or config-file value by the field's annotation.
 
-    ``where`` prefixes the error (e.g. ``path:line: ``). An empty value is
-    None for an optional field; a tuple field takes comma-separated items.
+    ``where`` prefixes the error (e.g. ``path:line: ``). An empty value or
+    ``none`` is None for an optional field; a tuple field takes comma-separated items.
     """
     raw = raw.strip()
     typ = _TYPES[name]
@@ -118,7 +118,7 @@ def _parse_value(name: str, raw: str, where: str = ""):
     try:
         if typ.startswith("tuple"):
             return tuple(convert(x.strip()) for x in raw.split(",") if x.strip())
-        if not raw and typ.endswith("None"):
+        if raw in ("", "none") and typ.endswith("None"):
             return None
         return convert(raw)
     except ValueError:

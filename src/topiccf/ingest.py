@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -122,8 +122,6 @@ def _open_text(source) -> tuple[IO[str], bool]:
     """Returns (text stream, whether we own it and must close it)."""
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8"), True
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), True
     if hasattr(source, "read"):
         if isinstance(source.read(0), bytes):
             return io.TextIOWrapper(source, encoding="utf-8"), False
@@ -182,53 +180,51 @@ def write_ratings_csv(ds: RatingDataset, path) -> None:
             fh.write(base + "\n")
 
 
+def _corpus_entries(source) -> Iterator[tuple[str, str | Path]]:
+    """(id text, document text or the file holding it) per directory entry or TSV line.
+
+    A directory entry that is not a ``.txt`` file gets the id text "", which
+    load_corpus skips like any other non-integer id.
+    """
+    if isinstance(source, (str, Path)) and Path(source).is_dir():
+        for entry in sorted(Path(source).iterdir()):
+            yield (entry.stem if entry.is_file() and entry.suffix == ".txt" else ""), entry
+        return
+    fh, owned = _open_text(source)
+    try:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            head, sep, text = line.rstrip("\n").partition("\t")
+            if not sep:
+                raise ParseError(line_no, "expected item_id<TAB>text")
+            yield head, text
+    finally:
+        if owned:
+            fh.close()
+
+
 def load_corpus(source) -> DocumentCorpus:
     """Load an item document corpus from a directory of ``<item_id>.txt`` files or a TSV.
 
-    Non-integer filename stems and empty texts are skipped (counted in
-    ``corpus.skipped``). Items present in ratings but absent here are fine;
-    downstream code treats them as undocumented.
+    Directory entries that are not ``.txt`` files, non-integer ids and empty
+    texts are skipped (counted in ``corpus.skipped``). Items present in ratings
+    but absent here are fine; downstream code treats them as undocumented.
     """
     docs: dict[int, str] = {}
     skipped = 0
-    if isinstance(source, (str, Path)) and Path(source).is_dir():
-        for entry in sorted(Path(source).iterdir()):
-            if not entry.is_file() or entry.suffix != ".txt":
-                skipped += 1
-                continue
-            try:
-                item_id = int(entry.stem)
-            except ValueError:
-                skipped += 1
-                continue
-            text = entry.read_text(encoding="utf-8").strip()
-            if not text:
-                skipped += 1
-                continue
-            docs[item_id] = text
-    else:
-        fh, owned = _open_text(source)
+    for head, text in _corpus_entries(source):
         try:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                head, sep, text = line.partition("\t")
-                if not sep:
-                    raise ParseError(line_no, "expected item_id<TAB>text")
-                try:
-                    item_id = int(head)
-                except ValueError:
-                    skipped += 1
-                    continue
-                text = text.strip()
-                if not text:
-                    skipped += 1
-                    continue
-                docs[item_id] = text
-        finally:
-            if owned:
-                fh.close()
+            item_id = int(head)
+        except ValueError:
+            skipped += 1
+            continue
+        # A directory entry is read only once its stem has parsed as an id.
+        text = (text.read_text(encoding="utf-8") if isinstance(text, Path) else text).strip()
+        if not text:
+            skipped += 1
+            continue
+        docs[item_id] = text
     return DocumentCorpus(docs, skipped=skipped)
 
 

@@ -16,14 +16,16 @@ Everything is deterministic given (corpus, T, alpha_sum, beta, iterations, seed)
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .ingest import ConfigurationError, DocumentCorpus
+from .ingest import ConfigurationError, DocumentCorpus, ParseError
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 PROGRESS_EVERY = 100  # sweeps between on_progress reports
@@ -47,12 +49,8 @@ def default_stopwords() -> frozenset[str]:
 
 def tokenize(text: str, stopwords: frozenset[str] = frozenset()) -> list[str]:
     """Lowercase, split on non-alphanumeric runs, drop short tokens, numbers, stopwords."""
-    out = []
-    for token in _TOKEN_RE.findall(text.lower()):
-        if len(token) < 3 or token.isdigit() or token in stopwords:
-            continue
-        out.append(token)
-    return out
+    return [t for t in _TOKEN_RE.findall(text.lower())
+            if len(t) >= 3 and not t.isdigit() and t not in stopwords]
 
 
 @dataclass
@@ -92,10 +90,7 @@ def build_vocabulary(
         raise ConfigurationError("corpus is empty")
     item_ids = corpus.item_ids()
     tokenized = [tokenize(corpus.docs[i], stopwords) for i in item_ids]
-    df: dict[str, int] = {}
-    for toks in tokenized:
-        for t in set(toks):
-            df[t] = df.get(t, 0) + 1
+    df = Counter(t for toks in tokenized for t in set(toks))
     kept = sorted(t for t, c in df.items() if c >= min_df)
     if not kept:
         raise ConfigurationError("all documents empty after token filtering")
@@ -152,70 +147,56 @@ def train_lda(
     rng = np.random.default_rng(seed)
     alpha = alpha_sum / T
     vbeta = V * beta
-    D = len(corpus.docs)
     docs = corpus.docs
-    total_tokens = corpus.total_tokens()
+    # The token stream in document order: token i is word words[i] of doc_of[i], topic z[i].
+    words = [w for doc in docs for w in doc]
+    doc_of = [d for d, doc in enumerate(docs) for _ in doc]
+    z = rng.integers(0, T, size=len(words)).tolist()
 
-    n_dt = [[0] * T for _ in range(D)]
+    n_dt = [[0] * T for _ in docs]
     n_wt = [[0] * T for _ in range(V)]   # word-major for fast row binding
     n_t = [0] * T
-
-    init = rng.integers(0, T, size=total_tokens)
-    z: list[list[int]] = []
-    pos = 0
-    for d, doc in enumerate(docs):
-        zd = []
-        row = n_dt[d]
-        for w in doc:
-            t = int(init[pos])
-            pos += 1
-            zd.append(t)
-            row[t] += 1
-            n_wt[w][t] += 1
-            n_t[t] += 1
-        z.append(zd)
+    for w, d, t in zip(words, doc_of, z):
+        n_dt[d][t] += 1
+        n_wt[w][t] += 1
+        n_t[t] += 1
 
     cum = [0.0] * T
     t_range = range(T)
     for sweep in range(iterations):
-        u = rng.random(total_tokens)
-        pos = 0
-        for d in range(D):
-            doc = docs[d]
-            row = n_dt[d]
-            zd = z[d]
-            for n in range(len(doc)):
-                w = doc[n]
-                t_old = zd[n]
-                row[t_old] -= 1
-                rw = n_wt[w]
-                rw[t_old] -= 1
-                n_t[t_old] -= 1
-                total = 0.0
-                for t in t_range:
-                    total += (row[t] + alpha) * (rw[t] + beta) / (n_t[t] + vbeta)
-                    cum[t] = total
-                r = u[pos] * total
-                pos += 1
-                t_new = 0
-                while cum[t_new] < r:
-                    t_new += 1
-                zd[n] = t_new
-                row[t_new] += 1
-                rw[t_new] += 1
-                n_t[t_new] += 1
+        u = rng.random(len(words))
+        for i, w in enumerate(words):
+            row = n_dt[doc_of[i]]
+            rw = n_wt[w]
+            t_old = z[i]
+            row[t_old] -= 1
+            rw[t_old] -= 1
+            n_t[t_old] -= 1
+            total = 0.0
+            for t in t_range:
+                total += (row[t] + alpha) * (rw[t] + beta) / (n_t[t] + vbeta)
+                cum[t] = total
+            r = u[i] * total
+            t_new = 0
+            while cum[t_new] < r:
+                t_new += 1
+            z[i] = t_new
+            row[t_new] += 1
+            rw[t_new] += 1
+            n_t[t_new] += 1
         if on_progress and (sweep + 1) % PROGRESS_EVERY == 0:
             theta, phi = _estimates(n_dt, n_wt, docs, alpha, alpha_sum, beta, vbeta)
             on_progress(sweep + 1, _log_likelihood(theta, phi, docs))
 
     theta, phi = _estimates(n_dt, n_wt, docs, alpha, alpha_sum, beta, vbeta)
+    stream = iter(z)
     return TopicModel(
         T=T,
         alpha_sum=alpha_sum,
         beta=beta,
         phi=phi,
         theta=theta,
-        assignments=tuple(tuple(zd) for zd in z),
+        assignments=tuple(tuple(islice(stream, len(doc))) for doc in docs),
         seed=seed,
         vocab=vocab,
         item_ids=corpus.item_ids,
@@ -267,13 +248,21 @@ def write_topic_rows(rows: Iterable[tuple[int, np.ndarray]], path, trailer: str 
 
 
 def read_topic_rows(path) -> list[tuple[int, np.ndarray]]:
-    """Inverse of write_topic_rows; '#' lines are skipped and ``id,`` reads as an empty row."""
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    """Inverse of write_topic_rows; '#' lines are skipped and ``id,`` reads as an empty row.
+    A non-numeric field, or a non-empty row wider or narrower than the first, is a ParseError."""
+    rows, width = [], 0
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         head, _, rest = line.partition(",")
-        rows.append((int(head), np.array([float(x) for x in rest.split(",")] if rest else [])))
+        try:
+            dist = np.array([float(x) for x in rest.split(",")] if rest else [])
+            rows.append((int(head), dist))
+        except ValueError as exc:
+            raise ParseError(line_no, f"{path}: {exc}") from None
+        width = width or len(dist)
+        if len(dist) not in (0, width):
+            raise ParseError(line_no, f"{path}: {len(dist)} values, expected {width}")
     return rows
 
 

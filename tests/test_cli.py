@@ -364,3 +364,39 @@ def test_relevance_threshold_out_of_range_rejected(tiny_inputs, tmp_path, capsys
     assert rc == 2
     assert "relevance_threshold must be" in capsys.readouterr().err
     assert not (out / "report.csv").exists()
+
+
+def test_none_unsets_an_optional_value(tiny_inputs, tmp_path):
+    ratings, corpus = tiny_inputs
+    out = tmp_path / "out"
+    args = _base_args(ratings, corpus, out)
+    assert main(["split"] + args) == 0
+    assert main(["train"] + args + ["--stopwords", "none"]) == 0
+    assert read_config(out / "config.txt").stopwords is None
+    assert main(["personas"] + args) == 0
+    assert main(["evaluate"] + args + ["--relevance-threshold", "none"]) == 0
+    written = (out / "config.txt").read_text().splitlines()
+    assert "stopwords=" in written and "relevance_threshold=" in written
+    conf = tmp_path / "conf.txt"
+    conf.write_text("stopwords=none\nrelevance_threshold=none\n")
+    cfg = read_config(conf)
+    assert cfg.stopwords is None and cfg.relevance_threshold is None
+
+
+@pytest.mark.parametrize("stage,name", [("personas", "theta.csv"), ("evaluate", "personas.csv")])
+@pytest.mark.parametrize("damage", ["non_numeric", "short"])
+def test_malformed_topic_row_names_file_and_line(tiny_inputs, tmp_path, capsys,
+                                                 stage, name, damage):
+    ratings, corpus = tiny_inputs
+    out = tmp_path / "out"
+    args = _base_args(ratings, corpus, out)
+    for upstream in ("split", "train", "personas"):
+        assert main([upstream] + args) == 0
+    lines = (out / name).read_text().splitlines()
+    head, _, _ = lines[1].rpartition(",")
+    lines[1] = head + ",abc" if damage == "non_numeric" else head
+    (out / name).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([stage] + args + ["--algorithms", "hybrid"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and str(out / name) in err

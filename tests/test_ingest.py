@@ -114,6 +114,28 @@ def test_load_corpus_tsv():
     assert corpus.docs == {3: "some plot text", 4: "another plot"}
 
 
+def test_load_corpus_directory_skips_entries_that_are_not_txt_files(tmp_path):
+    (tmp_path / "5.txt").write_text("plot five", encoding="utf-8")
+    (tmp_path / "6").mkdir()                  # subdirectory named like an item
+    (tmp_path / "7.txt").mkdir()              # reading it would raise IsADirectoryError
+    (tmp_path / "8.md").write_text("not a document", encoding="utf-8")
+    corpus = load_corpus(tmp_path)
+    assert corpus.docs == {5: "plot five"}
+    assert corpus.skipped == 3
+
+
+def test_load_corpus_tsv_skips_bad_ids_and_empty_texts():
+    corpus = load_corpus(io.StringIO("3\tplot\n\nx\tnot an id\n4\t  \n"))
+    assert corpus.docs == {3: "plot"}
+    assert corpus.skipped == 2
+
+
+def test_load_corpus_tsv_line_without_tab_names_the_line():
+    with pytest.raises(ParseError) as exc:
+        load_corpus(io.StringIO("3\tplot\n\n4 no tab\n"))
+    assert exc.value.line_no == 3
+
+
 def test_load_corpus_empty_directory(tmp_path):
     corpus = load_corpus(tmp_path)
     assert len(corpus) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -191,6 +192,27 @@ def test_quick_two_topic_recovery():
                       iterations=200, seed=3)
     dominant = model.theta.max(axis=1)
     assert dominant.mean() > 0.9
+
+
+def test_sampler_output_is_pinned():
+    # A change to the random stream, the per-token arithmetic or its order
+    # changes these digests; any other implementation of the sweep must match them.
+    corpus = DocumentCorpus({
+        1: "war battle army soldier war",
+        2: "love romance heart love kiss",
+        3: "the and",                      # empty once stopwords are dropped
+        4: "war army love heart",
+        5: "battle soldier battle kiss",
+    })
+    vocab, encoded = build_vocabulary(corpus, frozenset({"the", "and"}))
+    model = train_lda(encoded, vocab, T=3, alpha_sum=3.0, beta=0.01, iterations=5, seed=7)
+    assert model.assignments[2] == ()
+    assert hashlib.sha256(repr(model.assignments).encode()).hexdigest() == (
+        "ae32d15db5c796c262a1b254fca71aced12e1647f1f672c0eecdb381f8548889")
+    assert hashlib.sha256(model.theta.tobytes()).hexdigest() == (
+        "9a7e397033210e625db7b091befbd982136202020673709d5e89692bfac43a25")
+    assert hashlib.sha256(model.phi.tobytes()).hexdigest() == (
+        "f1cb79697265b4d2bfdf31e843ed36258ccd1910fd00e876797d594cfa6257d8")
 
 
 def test_invalid_parameters():
