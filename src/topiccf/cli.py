@@ -95,6 +95,8 @@ class RunConfig:
             raise ConfigurationError("ks must be strictly increasing positive integers")
         if self.max_k < self.ks[-1]:
             raise ConfigurationError(f"max_k={self.max_k} below largest K={self.ks[-1]}")
+        if not self.algorithms:
+            raise ConfigurationError(f"algorithms is empty; valid: {', '.join(ALGORITHMS)}")
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
             raise ConfigurationError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -53,12 +54,39 @@ class RatingRecord(NamedTuple):
     timestamp: int | None = None
 
 
+class RatingIndex(NamedTuple):
+    """Positional int32 view of a RatingDataset for the batch similarity rows.
+
+    Users and items are numbered by their place in the ascending id arrays.
+    ``user_items[user_ptr[u]:user_ptr[u + 1]]`` are user u's item positions,
+    ascending; ``item_users[item_ptr[i]:item_ptr[i + 1]]`` are item i's user
+    positions, ascending. The degrees are the row lengths.
+    """
+
+    user_ids: np.ndarray
+    item_ids: np.ndarray
+    user_ptr: np.ndarray
+    user_items: np.ndarray
+    item_ptr: np.ndarray
+    item_users: np.ndarray
+    user_degree: np.ndarray
+    item_degree: np.ndarray
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row pointers, columns) of the pairs (rows[k], cols[k]), stably grouped by row."""
+    ptr = np.zeros(n_rows + 1, dtype=np.int32)
+    ptr[1:] = np.cumsum(np.bincount(rows, minlength=n_rows))
+    return ptr, cols[np.argsort(rows, kind="stable")].astype(np.int32)
+
+
 class RatingDataset:
     """Immutable user-item ratings, one per (user, item): the last one given.
 
     ``duplicates_dropped`` counts the others. ``records`` are in (user, item)
     order; ``by_user`` maps users, ascending, to (item_id, rating) tuples in
-    item order. Item-set and user-set views serve the similarity measures.
+    item order. Item-set and user-set views serve the per-pair similarity
+    measures, ``index`` the batch ones.
     """
 
     def __init__(self, records: Iterable[RatingRecord]):
@@ -91,6 +119,20 @@ class RatingDataset:
 
     def record_set(self) -> frozenset[RatingRecord]:
         return frozenset(self.records)
+
+    @cached_property
+    def index(self) -> RatingIndex:
+        """The ratings as user->item and item->user CSR arrays, built on first use."""
+        user_ids = np.array(self.users(), dtype=np.int64)
+        item_ids = np.array(self.items(), dtype=np.int64)
+        # Records run user by user, ascending: a user's position repeats its rating count.
+        users = np.repeat(np.arange(len(user_ids)), [len(v) for v in self.by_user.values()])
+        items = np.searchsorted(item_ids, np.fromiter(
+            map(attrgetter("item_id"), self.records), np.int64, len(self.records)))
+        user_ptr, user_items = _csr(users, items, len(user_ids))
+        item_ptr, item_users = _csr(items, users, len(item_ids))
+        return RatingIndex(user_ids, item_ids, user_ptr, user_items, item_ptr, item_users,
+                           np.diff(user_ptr), np.diff(item_ptr))
 
     def __len__(self) -> int:
         return len(self.records)

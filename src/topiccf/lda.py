@@ -247,9 +247,10 @@ def write_topic_rows(rows: Iterable[tuple[int, np.ndarray]], path, trailer: str 
         fh.write(trailer)
 
 
-def read_topic_rows(path) -> list[tuple[int, np.ndarray]]:
-    """Inverse of write_topic_rows; '#' lines are skipped and ``id,`` reads as an empty row.
-    A non-numeric field, or a non-empty row wider or narrower than the first, is a ParseError."""
+def read_topic_rows(path) -> list[tuple[int, int, np.ndarray]]:
+    """Inverse of write_topic_rows, as (1-based line, id, values) per row; '#' lines are
+    skipped and ``id,`` reads as an empty row. A non-numeric field, or a non-empty
+    row wider or narrower than the first, is a ParseError."""
     rows, width = [], 0
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
@@ -257,7 +258,7 @@ def read_topic_rows(path) -> list[tuple[int, np.ndarray]]:
         head, _, rest = line.partition(",")
         try:
             dist = np.array([float(x) for x in rest.split(",")] if rest else [])
-            rows.append((int(head), dist))
+            rows.append((line_no, int(head), dist))
         except ValueError as exc:
             raise ParseError(line_no, f"{path}: {exc}") from None
         width = width or len(dist)
@@ -272,7 +273,7 @@ def save_theta(model: TopicModel, path) -> None:
 
 
 def load_item_profiles(path) -> dict[int, ItemTopicProfile]:
-    return {i: ItemTopicProfile(i, dist) for i, dist in read_topic_rows(path)}
+    return {i: ItemTopicProfile(i, dist) for _, i, dist in read_topic_rows(path)}
 
 
 def save_phi(model: TopicModel, path, threshold: float = 1e-6) -> None:

@@ -8,14 +8,21 @@ documented get an undefined persona.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import lda
-from .ingest import RatingDataset
+from .ingest import ParseError, RatingDataset
 from .lda import ItemTopicProfile
+
+SUM_TOLERANCE = 1e-6  # how far a defined persona's sum may stray from 1
+
+
+def sums_to_one(d: np.ndarray) -> bool:
+    """Whether d sums to 1 within SUM_TOLERANCE; never for a NaN sum."""
+    return bool(abs(d.sum() - 1.0) <= SUM_TOLERANCE)
 
 
 @dataclass
@@ -23,6 +30,9 @@ class UserPersona:
     user_id: int
     distribution: np.ndarray | None          # None when undefined
     documented_item_count: int | None = None  # None when unknown (e.g. loaded from csv)
+    # similarity's (sums to 1, (floored distribution, its log) if so), filled on first use
+    kl_terms: tuple[bool, tuple[np.ndarray, np.ndarray] | None] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def defined(self) -> bool:
@@ -75,8 +85,14 @@ def write_personas_csv(personas: Mapping[int, UserPersona], path) -> None:
 
 def load_personas_csv(path) -> dict[int, UserPersona]:
     """Inverse of write_personas_csv; all-zero and empty rows come back undefined.
-    documented_item_count is not persisted, so loaded personas carry None."""
-    return {
-        u: UserPersona(u, dist) if dist.any() else UserPersona(u, None, documented_item_count=0)
-        for u, dist in lda.read_topic_rows(path)
-    }
+    documented_item_count is not persisted, so loaded personas carry None.
+    Any other row must sum to 1, or it is a ParseError naming its line."""
+    personas = {}
+    for line_no, u, dist in lda.read_topic_rows(path):
+        if not dist.any():
+            personas[u] = UserPersona(u, None, documented_item_count=0)
+        elif not sums_to_one(dist):
+            raise ParseError(line_no, f"{path}: values sum to {float(dist.sum())!r}, not 1")
+        else:
+            personas[u] = UserPersona(u, dist)
+    return personas

@@ -6,20 +6,31 @@ of the neighborhood that liked the item. Baselines rank by a similarity-
 weighted average of neighbor (or own) ratings. Every top-N neighborhood and
 every top-K list is picked by ``_best``: highest score first, ties by
 ascending id, so every run is reproducible.
+
+Hybrid, topic-only, LLR user-based and item-based CF score a user against
+everyone at once through similarity's batch rows, which equal the per-pair
+functions bit for bit; Pearson user-based CF scores one pair at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
+import numpy as np
+
 from .ingest import RatingDataset
 from .persona import UserPersona
-from .similarity import (
+from .similarity import (  # the per-pair functions stay importable from here
+    UNDEFINED,
     SimilarityScore,
+    hybrid_row,
     hybrid_similarity,
+    item_llr_col,
     item_llr_similarity,
+    llr_row,
     llr_similarity,
     pearson_similarity,
+    topic_row,
     topic_similarity,
 )
 
@@ -67,16 +78,24 @@ def _ranked(
 def build_neighborhood(user: int, sim: SimilarityFn, train: RatingDataset, N: int) -> NeighborSet:
     """Top-N other train users by sim; undefined or non-positive scores are
     excluded even if that leaves fewer than N."""
+    scores = [UNDEFINED if other == user else sim(user, other) for other in train.users()]
+    row = np.array([s.value if s.defined else np.nan for s in scores], dtype=float)
+    return _row_neighborhood(user, row, train, N)
+
+
+def _row_neighborhood(user: int, row: np.ndarray, train: RatingDataset, N: int) -> NeighborSet:
+    """The top N of a similarity row over every train user, in index order
+    (NaN: undefined), leaving out the user, undefined scores and scores <= 0,
+    even if that leaves fewer than N."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    scored = []
-    for other in train.users():
-        if other == user:
-            continue
-        s = sim(user, other)
-        if s.defined and s.value > 0.0:
-            scored.append((other, s.value))
-    return NeighborSet(user, tuple(_best(scored, N)))
+    ids = train.index.user_ids
+    keep = (row > 0.0) & (ids != user)  # NaN > 0.0 is False
+    ids, row = ids[keep], row[keep]
+    if len(row) > N:  # only scores at or above the N-th best can be picked
+        keep = row >= np.partition(row, -N)[-N]
+        ids, row = ids[keep], row[keep]
+    return NeighborSet(user, tuple(_best(zip(ids.tolist(), row.tolist()), N)))
 
 
 def recommend_neighborhood(
@@ -113,8 +132,11 @@ def recommend_user_based(
     rating sum(sim * r) / sum(|sim|) over neighbors who rated the candidate."""
     if sim not in USER_SIMILARITIES:
         raise ValueError(f"unknown similarity {sim!r}; expected one of {USER_SIMILARITIES}")
-    sim_fn = pearson_similarity if sim == "pearson" else llr_similarity
-    neighbors = build_neighborhood(user, lambda a, b: sim_fn(a, b, train), train, N)
+    if sim == "pearson":
+        neighbors = build_neighborhood(
+            user, lambda a, b: pearson_similarity(a, b, train), train, N)
+    else:
+        neighbors = _row_neighborhood(user, llr_row(user, train), train, N)
     num: dict[int, float] = {}
     den: dict[int, float] = {}
     for v, s in neighbors.neighbors:
@@ -127,21 +149,21 @@ def recommend_user_based(
 def recommend_item_based(user: int, train: RatingDataset, K: int = 75) -> RecommendationList:
     """Standard item-based CF: predicted rating for an unseen item is the
     item-LLR-weighted average of the user's own ratings; zero-similarity terms
-    are skipped."""
-    rated = train.by_user.get(user, ())
-    rated_set = train.user_items(user)
-    scores: dict[int, float] = {}
-    for item in train.items():
-        if item in rated_set:
-            continue
-        num = den = 0.0
-        for j, rating in rated:
-            s = item_llr_similarity(item, j, train)
-            if s.defined and s.value > 0.0:
-                num += s.value * rating
-                den += s.value
-        if den > 0.0:
-            scores[item] = num / den
+    are skipped.
+
+    Every candidate's sums grow together, one rated item at a time in stored
+    order; a skipped term adds +0.0, which leaves each sum's bits unchanged.
+    """
+    items = train.index.item_ids
+    num = np.zeros(len(items))
+    den = np.zeros(len(items))
+    for j, rating in train.by_user.get(user, ()):
+        s = item_llr_col(j, train)
+        s = np.where(s > 0.0, s, 0.0)
+        num = num + s * rating
+        den = den + s
+    scored = den > 0.0
+    scores = dict(zip(items[scored].tolist(), (num[scored] / den[scored]).tolist()))
     return _ranked(user, scores, train, K)
 
 
@@ -154,9 +176,7 @@ def recommend_hybrid(
     like_threshold: float = 1.0,
 ) -> RecommendationList:
     """Neighborhood by topic x rating-overlap similarity, then total_weight ranking."""
-    neighbors = build_neighborhood(
-        user, lambda a, b: hybrid_similarity(a, b, personas, train), train, N
-    )
+    neighbors = _row_neighborhood(user, hybrid_row(user, personas, train), train, N)
     return recommend_neighborhood(user, neighbors, train, K, like_threshold)
 
 
@@ -169,9 +189,7 @@ def recommend_topic_only(
     like_threshold: float = 1.0,
 ) -> RecommendationList:
     """Neighborhood by latent-topic similarity alone, then total_weight ranking."""
-    neighbors = build_neighborhood(
-        user, lambda a, b: topic_similarity(personas.get(a), personas.get(b)), train, N
-    )
+    neighbors = _row_neighborhood(user, topic_row(user, personas, train), train, N)
     return recommend_neighborhood(user, neighbors, train, K, like_threshold)
 
 

@@ -5,6 +5,11 @@ Latent-topic similarity maps symmetric KL divergence between personas to
 over co-rated items or a log-likelihood-ratio score on the 2x2 preference
 contingency table, mapped to [0, 1) by 1 - 1/(1 + G2). The hybrid score is
 the product of the topic term and the LLR term.
+
+Each measure but Pearson also has a batch form that scores one user (or one
+item) against every train user (or item) at once, in ``train.index`` order.
+The batch forms repeat the per-pair arithmetic operation for operation, so
+every float they give equals the per-pair function's bit for bit.
 """
 from __future__ import annotations
 
@@ -14,10 +19,9 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .ingest import RatingDataset
-from .persona import UserPersona
+from .persona import UserPersona, sums_to_one
 
 KL_FLOOR = 1e-10
-SUM_TOLERANCE = 1e-6
 
 
 class SimilarityScore(NamedTuple):
@@ -40,14 +44,25 @@ def symmetric_kl(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
     for name, d in (("p", p), ("q", q)):
-        if abs(d.sum() - 1.0) > SUM_TOLERANCE:
+        if not sums_to_one(d):
             raise ValueError(f"{name} does not sum to 1 (got {d.sum()!r})")
-    pf = np.maximum(p, KL_FLOOR)
-    pf = pf / pf.sum()
-    qf = np.maximum(q, KL_FLOOR)
-    qf = qf / qf.sum()
-    diff = np.log(pf) - np.log(qf)
-    return float(np.dot(pf, diff) - np.dot(qf, diff))
+    return _kl(_floored_log(p), _floored_log(q))
+
+
+def _floored_log(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d floored at KL_FLOOR and renormalised, and its log."""
+    f = np.maximum(d, KL_FLOOR)
+    f = f / f.sum()
+    return f, np.log(f)
+
+
+def _kl(p: tuple[np.ndarray, np.ndarray], q: tuple[np.ndarray, np.ndarray]) -> float:
+    """Symmetric KL of two _floored_log results.
+
+    ``a.dot(b)`` is the C function np.dot(a, b) calls, without its dispatch cost.
+    """
+    diff = p[1] - q[1]
+    return float(p[0].dot(diff)) - float(q[0].dot(diff))
 
 
 def topic_similarity(u: UserPersona | None, v: UserPersona | None) -> SimilarityScore:
@@ -113,6 +128,106 @@ def llr_similarity(u: int, v: int, train: RatingDataset) -> SimilarityScore:
 def item_llr_similarity(i: int, j: int, train: RatingDataset) -> SimilarityScore:
     """llr_similarity with the roles of users and items swapped."""
     return _llr(train.item_users(i), train.item_users(j), train.num_users)
+
+
+def _g2_rows(k11: np.ndarray, k12: np.ndarray, k21: np.ndarray, k22: np.ndarray) -> np.ndarray:
+    """_g2 of many tables at once, by the same operations in the same cell order.
+
+    A cell with k = 0 adds +0.0 where _g2 skips it, which changes no sum; its
+    log argument is fed as 1.0. The logs are math.log's, taken once per
+    distinct argument: np.log differs from it in the last bit on some
+    arguments. Exact while every k*N and r*c < 2**53.
+    """
+    n = k11 + k12 + k21 + k22
+    r1, r2 = k11 + k12, k21 + k22
+    c1, c2 = k11 + k21, k12 + k22
+    k = np.stack([k11, k12, k21, k22])
+    arg = np.ones(k.shape)
+    np.divide(k * n, np.stack([r1 * c1, r1 * c2, r2 * c1, r2 * c2]), out=arg, where=k > 0)
+    distinct, inverse = np.unique(arg.ravel(), return_inverse=True)
+    logs = np.array(list(map(math.log, distinct.tolist())))
+    terms = k * logs[inverse].reshape(k.shape)
+    g2 = 2.0 * (0.0 + terms[0] + terms[1] + terms[2] + terms[3])
+    return np.where(g2 > 0.0, g2, 0.0)  # max(0.0, g2), as _g2 clamps
+
+
+def _llr_rows(k11: np.ndarray, size_a, size_b, universe: int) -> np.ndarray:
+    """_llr's value for many tables, given |a & b|, |a| and |b| of each."""
+    k12 = size_a - k11
+    k21 = size_b - k11
+    return 1.0 - 1.0 / (1.0 + _g2_rows(k11, k12, k21, universe - k11 - k12 - k21))
+
+
+def _csr_row(ptr: np.ndarray, cols: np.ndarray, ids: np.ndarray, id_: int) -> np.ndarray:
+    """The CSR row of the entity with id ``id_``; empty when it is not in ``ids``."""
+    pos = int(np.searchsorted(ids, id_))
+    if pos == len(ids) or ids[pos] != id_:
+        return cols[:0]
+    return cols[ptr[pos]:ptr[pos + 1]]
+
+
+def _co_counts(ptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """For each of ``size`` column positions, how many of the CSR ``rows`` hold it."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    gather = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    return np.bincount(cols[gather], minlength=size)
+
+
+def llr_row(user: int, train: RatingDataset) -> np.ndarray:
+    """llr_similarity(user, v, train).value for every train user v, in index order."""
+    ix = train.index
+    items = _csr_row(ix.user_ptr, ix.user_items, ix.user_ids, user)
+    k11 = _co_counts(ix.item_ptr, ix.item_users, items, len(ix.user_ids))
+    return _llr_rows(k11, len(items), ix.user_degree, train.num_items)
+
+
+def item_llr_col(item: int, train: RatingDataset) -> np.ndarray:
+    """item_llr_similarity(i, item, train).value for every train item i, in index order."""
+    ix = train.index
+    users = _csr_row(ix.item_ptr, ix.item_users, ix.item_ids, item)
+    k11 = _co_counts(ix.user_ptr, ix.user_items, users, len(ix.item_ids))
+    return _llr_rows(k11, ix.item_degree, len(users), train.num_users)
+
+
+def _persona_terms(persona: UserPersona) -> tuple[bool, tuple[np.ndarray, np.ndarray] | None]:
+    """(whether it sums to 1, its _floored_log if so) of a defined persona, kept on it."""
+    if persona.kl_terms is None:
+        d = np.asarray(persona.distribution, dtype=float)
+        ok = sums_to_one(d)
+        persona.kl_terms = (ok, _floored_log(d) if ok else None)
+    return persona.kl_terms
+
+
+def topic_row(user: int, personas: Mapping[int, UserPersona], train: RatingDataset) -> np.ndarray:
+    """topic_similarity of user's persona to every train user's, in index order;
+    NaN where undefined. Raises the ValueError topic_similarity raises on the
+    first bad pair."""
+    ids = train.index.user_ids
+    values = np.full(len(ids), np.nan)
+    p = personas.get(user)
+    if p is None or not p.defined:
+        return values
+    pos, qs = [], []
+    for i, v in enumerate(ids.tolist()):
+        q = personas.get(v)
+        if q is not None and q.defined:
+            pos.append(i)
+            qs.append(_persona_terms(q))
+    p_ok, pt = _persona_terms(p)
+    if qs and not (p_ok and all(ok and qt[0].shape == pt[0].shape for ok, qt in qs)):
+        for v in ids.tolist():  # some pair is bad: raise topic_similarity's error for it
+            topic_similarity(p, personas.get(v))
+    # exp and the two dots per pair: np.exp and a matrix product change bits.
+    values[pos] = [math.exp(-_kl(pt, qt)) for _, qt in qs]
+    return values
+
+
+def hybrid_row(user: int, personas: Mapping[int, UserPersona], train: RatingDataset) -> np.ndarray:
+    """hybrid_similarity(user, v, ...).value for every train user v, in index order."""
+    topic = topic_row(user, personas, train)
+    llr = llr_row(user, train)
+    return np.where(np.isnan(topic), llr, topic * llr)  # _combine's rule
 
 
 def _combine(topic: SimilarityScore, overlap: SimilarityScore) -> SimilarityScore:

@@ -400,3 +400,35 @@ def test_malformed_topic_row_names_file_and_line(tiny_inputs, tmp_path, capsys,
     assert main([stage] + args + ["--algorithms", "hybrid"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ") and str(out / name) in err
+
+
+@pytest.mark.parametrize("value", ["", ","])
+def test_empty_algorithm_list_rejected(tiny_inputs, tmp_path, capsys, value):
+    ratings, corpus = tiny_inputs
+    out = tmp_path / "out"
+    args = _base_args(ratings, corpus, out)
+    assert main(["split"] + args) == 0
+    capsys.readouterr()
+    assert main(["evaluate"] + args + ["--algorithms", value]) == 2
+    err = capsys.readouterr().err
+    assert "algorithms" in err and all(name in err for name in ALGORITHMS)
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("damage", ["halved", "nan"])
+def test_unnormalised_persona_row_names_file_and_line(tiny_inputs, tmp_path, capsys, damage):
+    ratings, corpus = tiny_inputs
+    out = tmp_path / "out"
+    args = _base_args(ratings, corpus, out)
+    for upstream in ("split", "train", "personas"):
+        assert main([upstream] + args) == 0
+    lines = (out / "personas.csv").read_text().splitlines()
+    head, _, last = lines[1].rpartition(",")
+    lines[1] = f"{head},{float(last) / 2!r}" if damage == "halved" else f"{head},nan"
+    (out / "personas.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate"] + args + ["--algorithms", "hybrid"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and str(out / "personas.csv") in err
+    assert "sum" in err
+    assert not (out / "report.csv").exists()

@@ -316,3 +316,26 @@ def test_structural_invariants():
                         assert a.item_id < b.item_id
             for r in recommend_hybrid(u, personas, train, N=3, K=4).items:
                 assert 0.0 < r.score <= 1.0
+
+
+def test_batched_recommenders_match_oracle_scores_bit_for_bit():
+    # Hybrid, topic-only, LLR user-based and item-based CF score through batch
+    # rows; the oracles through the per-pair primitives, with the same sums in
+    # the same order, so whole lists, scores included, must be equal.
+    rng = np.random.default_rng(77)
+    for _ in range(3):
+        train = random_dataset(rng, max_users=40, max_items=60, density=0.2)
+        users = train.users()
+        personas = random_personas(rng, users, n_topics=4, undefined_fraction=0.25)
+        by_user, hybrid_sim, topic_sim, _, llr_sim, item_sim = pipeline_sims(train, personas)
+        def pairs(recs):
+            return [(r.item_id, r.score) for r in recs.items]
+        for u in users + [max(users) + 1]:
+            assert pairs(recommend_hybrid(u, personas, train, N=6, K=10)) == \
+                naive_recommend_neighborhood(u, by_user, hybrid_sim, 6, 10, 1.0)
+            assert pairs(recommend_topic_only(u, personas, train, N=6, K=10)) == \
+                naive_recommend_neighborhood(u, by_user, topic_sim, 6, 10, 1.0)
+            assert pairs(recommend_user_based(u, train, "llr", N=6, K=10)) == \
+                naive_user_based(u, by_user, llr_sim, 6, 10)
+            assert pairs(recommend_item_based(u, train, K=10)) == \
+                naive_item_based(u, by_user, item_sim, 10)

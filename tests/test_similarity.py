@@ -64,6 +64,11 @@ def test_kl_rejects_unnormalized():
         symmetric_kl([0.5, 0.6], [0.5, 0.5])
 
 
+def test_kl_rejects_nan():
+    with pytest.raises(ValueError, match="does not sum to 1"):
+        symmetric_kl([math.nan, 0.5], [0.5, 0.5])
+
+
 def test_kl_handles_zeros_via_floor():
     v = symmetric_kl([1.0, 0.0], [0.5, 0.5])
     assert math.isfinite(v) and v > 0
@@ -328,3 +333,84 @@ def test_matches_naive_oracles_on_random_instances():
                                  train.user_items(v), train.num_items),
                     abs=1e-9,
                 )
+
+
+# ---------- batch rows: bit-identical to the per-pair functions ----------
+
+def _row_instances():
+    """Desk-shaped random instances whose personas include undefined ones,
+    missing ones and one with exact zeros (so the KL floor acts)."""
+    rng = np.random.default_rng(2024)
+    for _ in range(3):
+        train = random_dataset(rng, max_users=40, max_items=60, density=0.2)
+        users = train.users()
+        personas = random_personas(rng, users, n_topics=4, undefined_fraction=0.25)
+        del personas[users[-1]]
+        personas[users[0]] = _persona(users[0], [0.5, 0.5, 0.0, 0.0])
+        yield train, personas
+
+
+def _first_error(fn):
+    try:
+        fn()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_index_rows_hold_each_users_items_and_each_items_users():
+    for train, _ in _row_instances():
+        ix = train.index
+        for pos, u in enumerate(ix.user_ids.tolist()):
+            row = ix.user_items[ix.user_ptr[pos]:ix.user_ptr[pos + 1]]
+            assert ix.item_ids[row].tolist() == [i for i, _ in train.by_user[u]]
+            assert ix.user_degree[pos] == len(row)
+        for pos, i in enumerate(ix.item_ids.tolist()):
+            row = ix.item_users[ix.item_ptr[pos]:ix.item_ptr[pos + 1]]
+            assert ix.user_ids[row].tolist() == sorted(train.item_users(i))
+            assert ix.item_degree[pos] == len(row)
+
+
+def test_llr_row_equals_llr_similarity_bit_for_bit():
+    for train, _ in _row_instances():
+        users = train.users()
+        for u in users + [max(users) + 1]:  # the last one is absent from train
+            assert similarity.llr_row(u, train).tolist() == [
+                llr_similarity(u, v, train).value for v in users]
+
+
+def test_item_llr_col_equals_item_llr_similarity_bit_for_bit():
+    for train, _ in _row_instances():
+        items = train.items()
+        for j in items:
+            assert similarity.item_llr_col(j, train).tolist() == [
+                item_llr_similarity(i, j, train).value for i in items]
+
+
+def test_topic_and_hybrid_rows_equal_pairwise_bit_for_bit():
+    for train, personas in _row_instances():
+        users = train.users()
+        for u in users + [max(users) + 1]:
+            row = similarity.topic_row(u, personas, train)
+            want = [topic_similarity(personas.get(u), personas.get(v)) for v in users]
+            assert (~np.isnan(row)).tolist() == [s.defined for s in want]
+            assert row[~np.isnan(row)].tolist() == [s.value for s in want if s.defined]
+            assert similarity.hybrid_row(u, personas, train).tolist() == [
+                hybrid_similarity(u, v, personas, train).value for v in users]
+
+
+@pytest.mark.parametrize("bad", [[0.25, 0.25, 0.25, 0.2], [0.5, 0.5], [0.6, 0.6, 0.0, 0.0],
+                                 [math.nan, 0.25, 0.25, 0.5]])
+def test_topic_row_raises_the_per_pair_error(bad):
+    train, personas = next(_row_instances())
+    users = train.users()
+    defined = [u for u in users if u in personas and personas[u].defined]
+    personas[defined[2]] = _persona(defined[2], bad)
+    errors = set()
+    for u in users:
+        want = _first_error(lambda: [
+            topic_similarity(personas.get(u), personas.get(v)) for v in users])
+        assert _first_error(lambda: similarity.topic_row(u, personas, train)) == want
+        assert _first_error(lambda: similarity.hybrid_row(u, personas, train)) == want
+        errors.add(want)
+    assert len(errors - {None}) >= (1 if len(bad) == 2 else 2)  # as p and as q
