@@ -10,6 +10,7 @@ from .ingest import (
     ConfigurationError,
     DocumentCorpus,
     ParseError,
+    RatingColumns,
     RatingDataset,
     RatingRangeError,
     RatingRecord,

@@ -9,6 +9,7 @@ Config precedence: defaults < config file (--config, key=value lines) < flags.
 ``main`` runs every stage the same way: build and validate the config, check
 the stage's required keys, outside inputs and upstream files, create the output
 directory, run ``cmd_<stage>``, then write the effective config to config.txt.
+A stage that fails before writing anything leaves no new directory behind.
 """
 from __future__ import annotations
 
@@ -182,6 +183,8 @@ def _print_summary(label: str, ds: ingest.RatingDataset) -> None:
 
 def cmd_split(cfg: RunConfig, out: Path) -> None:
     ds = ingest.parse_ratings(cfg.ratings, cfg.format)
+    if not len(ds):
+        raise ConfigurationError(f"no ratings in {cfg.ratings}")
     if ds.duplicates_dropped:
         print(f"warning: {ds.duplicates_dropped} duplicate (user,item) ratings dropped (kept last)")
     pair = ingest.split_train_test(ds, cfg.fraction, cfg.split_seed)
@@ -338,10 +341,16 @@ def main(argv=None) -> int:
                 raise ConfigurationError(f"missing input {path} ({_flag(key)})")
         out = Path(cfg.out)
         _require_inputs(out, stage.reads)
+        fresh = not out.exists()
         out.mkdir(parents=True, exist_ok=True)
-        # Looked up when called, so a wrapper installed on cli.cmd_<stage> runs.
-        globals()[f"cmd_{args.command}"](
-            cfg, out, **{s: getattr(args, s) for s in stage.switches})
+        try:
+            # Looked up when called, so a wrapper installed on cli.cmd_<stage> runs.
+            globals()[f"cmd_{args.command}"](
+                cfg, out, **{s: getattr(args, s) for s in stage.switches})
+        except BaseException:
+            if fresh and not any(out.iterdir()):
+                out.rmdir()  # a stage that fails before writing leaves no directory behind
+            raise
         write_config(cfg, out / "config.txt")
     except (ConfigurationError, ingest.ParseError, ingest.RatingRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

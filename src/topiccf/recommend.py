@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .ingest import RatingDataset
+from .ingest import RatingDataset, csr_entries
 from .persona import UserPersona
 from .similarity import (  # the per-pair functions stay importable from here
     UNDEFINED,
@@ -112,13 +112,14 @@ def recommend_neighborhood(
     The denominator is the actual neighbor count, which may be below the
     nominal N for sparse users. Candidates nobody liked are not ranked.
     """
-    like_counts: dict[int, int] = {}
-    for v, _ in neighbors.neighbors:
-        for item, rating in train.by_user.get(v, ()):
-            if rating >= like_threshold:
-                like_counts[item] = like_counts.get(item, 0) + 1
-    denom = len(neighbors.neighbors)
-    return _ranked(user, {item: count / denom for item, count in like_counts.items()}, train, K)
+    ix = train.index
+    ids = np.array([v for v, _ in neighbors.neighbors], dtype=np.int64)
+    rated = csr_entries(ix.user_ptr, np.searchsorted(ix.user_ids, ids[np.isin(ids, ix.user_ids)]))
+    liked = rated[train.columns.rating[rated] >= like_threshold]
+    counts = np.bincount(ix.user_items[liked], minlength=len(ix.item_ids))
+    scored = np.flatnonzero(counts)
+    fractions = counts[scored] / len(neighbors.neighbors)  # int / int, as exact as Python's
+    return _ranked(user, dict(zip(ix.item_ids[scored].tolist(), fractions.tolist())), train, K)
 
 
 def recommend_user_based(

@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .ingest import RatingDataset
+from .ingest import RatingDataset, csr_entries
 from .persona import UserPersona, sums_to_one
 
 KL_FLOOR = 1e-10
@@ -168,10 +168,7 @@ def _csr_row(ptr: np.ndarray, cols: np.ndarray, ids: np.ndarray, id_: int) -> np
 
 def _co_counts(ptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     """For each of ``size`` column positions, how many of the CSR ``rows`` hold it."""
-    starts = ptr[rows]
-    lens = ptr[rows + 1] - starts
-    gather = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-    return np.bincount(cols[gather], minlength=size)
+    return np.bincount(cols[csr_entries(ptr, rows)], minlength=size)
 
 
 def llr_row(user: int, train: RatingDataset) -> np.ndarray:

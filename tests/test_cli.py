@@ -287,6 +287,16 @@ def test_missing_ratings_file(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+def test_empty_ratings_file_fails_and_creates_no_output_directory(tmp_path, capsys, content):
+    ratings = tmp_path / "empty.dat"
+    ratings.write_text(content)
+    out = tmp_path / "out"
+    assert main(["split", "--ratings", str(ratings), "--out", str(out)]) == 2
+    assert f"error: no ratings in {ratings}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ubcf_only_similarity_audit_has_topic_values(tiny_inputs, tmp_path):
     ratings, corpus = tiny_inputs
     out = tmp_path / "out"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topiccf import ingest
 from topiccf.ingest import (
+    FORMATS,
     ConfigurationError,
     ParseError,
     RatingDataset,
@@ -228,3 +230,153 @@ def test_dataset_summary():
     assert s["users"] == 2
     assert s["max_ratings_per_user"] == 10
     assert s["avg_ratings_per_user"] == 6.0
+
+
+# --- the numpy fast path against the line parser -------------------------------------
+
+def _line_parsed(source, fmt):
+    """What parse_ratings returned before it had a fast path: the line parser over
+    the source's lines, as the source's own iteration splits them."""
+    fh, owned = ingest._open_text(source)
+    try:
+        return RatingDataset(ingest._parse_line(line, fmt, line_no)
+                             for line_no, line in enumerate(map(str.strip, fh), start=1)
+                             if line)
+    finally:
+        if owned:
+            fh.close()
+
+
+def _sources(text, tmp_path):
+    path = tmp_path / "ratings.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return {"path": lambda: path, "str": lambda: str(path),
+            "StringIO": lambda: io.StringIO(text),
+            "BytesIO": lambda: io.BytesIO(text.encode("utf-8"))}
+
+
+def _assert_same_as_line_parser(text, fmt, tmp_path):
+    """parse_ratings gives the line parser's dataset, in the same order, or its
+    exception type and line number, from every kind of source; and what numpy
+    alone accepts, the line parser accepts with the same values."""
+    for make in _sources(text, tmp_path).values():
+        try:
+            expected, error = _line_parsed(make(), fmt), None
+        except (ParseError, RatingRangeError) as exc:
+            expected, error = None, exc
+        if error is None:
+            got = parse_ratings(make(), fmt)
+            assert got.records == expected.records
+            assert got.duplicates_dropped == expected.duplicates_dropped
+        else:
+            with pytest.raises(type(error)) as exc:
+                parse_ratings(make(), fmt)
+            assert exc.value.line_no == error.line_no
+    fast = ingest._parse_columns(text, fmt)
+    if fast is not None:
+        lines = ingest._parse_lines(text, fmt)
+        ds = RatingDataset(fast)
+        assert ds.records == lines.records
+        assert ds.duplicates_dropped == lines.duplicates_dropped
+
+
+_ID = st.integers(min_value=1, max_value=4).map(str)
+_RATING = st.sampled_from(["1", "2.5", "3.0", "4", "5.0", "1e0", "4.75"])
+_STAMP = st.integers(min_value=0, max_value=2**40).map(str)
+_ODD_INT = st.sampled_from(["1.0", "1_000", "+7", " 3", "4 ", "", "x", "#", "-2", "007",
+                            "9223372036854775807", "9223372036854775808",
+                            "-9223372036854775809", "١"])
+_ODD_RATING = st.sampled_from(["nan", "inf", "-inf", "6.0", "0.5", "5.", " 2.5 ", "4_0",
+                               "0x1p2", "3,5", "", "1.0000000000000002"])
+_ODD_LINE = st.sampled_from(["", "   ", "# comment", "1::2::3,4", "1,2", "1,2,3,4,5",
+                             "1::2::3", "1::2::3::4::5", "\t", "1,2,3\r4,5,6"])
+
+
+def _file(fmt, field, rating, stamp, odd_lines):
+    sep = "::" if fmt == "movielens_dat" else ","
+    row = st.tuples(field, field, rating, stamp).map(
+        lambda f: sep.join(f[:3] if f[3] is None else f))
+    line = st.one_of(row, odd_lines) if odd_lines is not None else row
+    return st.tuples(st.lists(line, max_size=10), st.sampled_from(["\n", "\r\n"]),
+                     st.booleans()).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else ""))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fast_path_and_line_parser_agree(tmp_path_factory, data):
+    fmt = data.draw(st.sampled_from(FORMATS))
+    stamp = _STAMP if fmt == "movielens_dat" else st.one_of(st.none(), _STAMP)
+    clean = _file(fmt, _ID, _RATING, stamp, None)
+    dirty = _file(fmt, st.one_of(_ID, _ODD_INT), st.one_of(_RATING, _ODD_RATING),
+                  st.one_of(stamp, _ODD_INT), _ODD_LINE)
+    text = data.draw(st.one_of(clean, dirty))
+    _assert_same_as_line_parser(text, fmt, tmp_path_factory.mktemp("diff"))
+
+
+@pytest.mark.parametrize("text,fmt", [
+    ("1::10::5::978300760\n2::10::3::978300761\n1::10::4::978300762\n", "movielens_dat"),
+    ("1::10::5::1\r\n\r\n2::11::3.5::2\r\n", "movielens_dat"),
+    ("1,10,5.0,99\n2,10,3,100\n", "csv"),
+    ("1,10,5.0\n2,10,3\n\n", "csv"),
+    (" 1 , 10 , 4.5 \n", "csv"),
+])
+def test_fast_path_takes_well_formed_files(text, fmt, tmp_path):
+    assert ingest._parse_columns(text.replace("\r\n", "\n"), fmt) is not None
+    _assert_same_as_line_parser(text, fmt, tmp_path)
+
+
+@pytest.mark.parametrize("text,fmt,error,line_no", [
+    ("1::2::3::4\n1::2::3,4\n", "movielens_dat", ParseError, 2),  # not 1,2,3,4 after '::' -> ','
+    ("1,2,3\n1.0,2,3\n", "csv", ParseError, 2),
+    ("1,2,3\n# a comment\n", "csv", ParseError, 2),
+    ("1,2,3\n2,2,nan\n", "csv", RatingRangeError, 2),
+    ("1,2,inf\n", "csv", RatingRangeError, 1),
+    ("1,2,3\n\n1,3,6.0\n", "csv", RatingRangeError, 3),
+    ("1::2::3::4\n1::2::3::9223372036854775808\n", "movielens_dat", ParseError, 2),
+    ("9223372036854775808,2,3\n", "csv", ParseError, 1),
+])
+def test_rejected_files_name_the_line(text, fmt, error, line_no, tmp_path):
+    assert ingest._parse_columns(text, fmt) is None
+    for make in _sources(text, tmp_path).values():
+        with pytest.raises(error) as exc:
+            parse_ratings(make(), fmt)
+        assert exc.value.line_no == line_no
+    _assert_same_as_line_parser(text, fmt, tmp_path)
+
+
+@pytest.mark.parametrize("text,fmt,records", [
+    ("1_000,2,3\n", "csv", [RatingRecord(1000, 2, 3.0)]),
+    ("1,2,3,10\n1,3,4\n", "csv", [RatingRecord(1, 2, 3.0, 10), RatingRecord(1, 3, 4.0)]),
+    ("  1::2::3::4  \r\n\r\n", "movielens_dat", [RatingRecord(1, 2, 3.0, 4)]),
+    ("1,2,3\n   \n", "csv", [RatingRecord(1, 2, 3.0)]),
+])
+def test_line_parser_takes_what_numpy_does_not(text, fmt, records, tmp_path):
+    for make in _sources(text, tmp_path).values():
+        assert list(parse_ratings(make(), fmt).records) == records
+    _assert_same_as_line_parser(text, fmt, tmp_path)
+
+
+def test_mixed_timestamp_csv_writes_back_byte_identical(tmp_path):
+    text = ("-3,7,4.0,10\n0,0,2.0,0\n1,1,5.0,99\n1,2,4.5\n2,1,3.0,-7\n"
+            "2,4,1.0000000000000002\n9223372036854775807,1,1.5,-9223372036854775808\n")
+    path = tmp_path / "out.csv"
+    write_ratings_csv(parse_ratings(io.StringIO(text), "csv"), path)
+    assert path.read_text(encoding="utf-8") == text
+
+
+def test_columns_hold_the_ratings_in_pair_order():
+    ds = RatingDataset([RatingRecord(2, 9, 4.0, 7), RatingRecord(1, 5, 3.0),
+                        RatingRecord(2, 3, 1.0), RatingRecord(2, 9, 5.0, 8)])
+    c = ds.columns
+    assert c.user.tolist() == [1, 2, 2]
+    assert c.item.tolist() == [5, 3, 9]
+    assert c.rating.tolist() == [3.0, 1.0, 5.0]
+    assert c.timestamp.tolist() == [0, 0, 8]
+    assert c.has_timestamp.tolist() == [False, False, True]
+    assert [col.dtype for col in c] == [np.int64, np.int64, np.float64, np.int64, np.bool_]
+    assert ds.duplicates_dropped == 1
+    assert RatingDataset(c).records == ds.records
+    ix = ds.index
+    assert ix.item_ids[ix.user_items].tolist() == c.item.tolist()  # aligned with the rows
+    with pytest.raises(ValueError):
+        c.rating[0] = 2.0

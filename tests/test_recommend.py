@@ -92,6 +92,13 @@ def test_empty_neighborhood_empty_list():
     assert recs.items == ()
 
 
+def test_neighbor_without_train_ratings_counts_in_the_denominator_only():
+    train = _ds({1: [(1, 3.0)], 2: [(50, 5.0), (60, 2.0)]})
+    nbrs = NeighborSet(1, ((2, 0.8), (99, 0.7), (0, 0.6), (1000, 0.5)))
+    recs = recommend_neighborhood(1, nbrs, train, K=5, like_threshold=3.0)
+    assert recs.items == ((50, 0.25),)
+
+
 def test_weight_denominator_is_actual_neighbor_count():
     train = _ds({1: [(1, 3.0)], 2: [(50, 5.0)], 3: [(50, 5.0)]})
     nbrs = NeighborSet(1, ((2, 0.8), (3, 0.7)))
