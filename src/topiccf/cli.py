@@ -78,6 +78,9 @@ class RunConfig:
             raise ConfigurationError("alpha_sum and beta must be positive")
         if self.iterations < 1:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
+        for key in ("lda_seed", "split_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigurationError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.min_df < 1:
             raise ConfigurationError(f"min_df must be >= 1, got {self.min_df}")
         if self.neighbors < 1:

@@ -127,6 +127,15 @@ def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> tuple[np.ndarray, n
     return ptr, cols[np.argsort(rows, kind="stable")].astype(np.int32)
 
 
+def csr_row(ptr: np.ndarray, ids: np.ndarray, id_: int) -> slice:
+    """The slice of a CSR column array holding the row of the entity with id
+    ``id_``; empty when it is not in ``ids``."""
+    pos = int(np.searchsorted(ids, id_))
+    if pos == len(ids) or ids[pos] != id_:
+        return slice(0, 0)
+    return slice(int(ptr[pos]), int(ptr[pos + 1]))
+
+
 def csr_entries(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The positions in a CSR column array of the given rows' entries, row after row."""
     starts = ptr[rows]
@@ -171,7 +180,8 @@ class RatingDataset:
     @cached_property
     def _per_user(self) -> tuple[dict, dict]:
         """by_user and each user's item set, built together on first use of either,
-        so building personas from by_user also readies the sets the recommenders read."""
+        so building personas from by_user also readies the sets that Pearson and
+        the per-pair similarity functions read."""
         user_ids, ptr = self._user_runs
         items = self.columns.item.tolist()
         pairs = list(zip(items, self.columns.rating.tolist()))

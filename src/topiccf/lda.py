@@ -29,6 +29,12 @@ from .ingest import ConfigurationError, DocumentCorpus, ParseError
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 PROGRESS_EVERY = 100  # sweeps between on_progress reports
+SUM_TOLERANCE = 1e-6  # how far a stored topic distribution's sum may stray from 1
+
+
+def sums_to_one(d: np.ndarray) -> bool:
+    """Whether d sums to 1 within SUM_TOLERANCE; never for a NaN sum."""
+    return bool(abs(d.sum() - 1.0) <= SUM_TOLERANCE)
 
 
 def _parse_stopwords(text: str) -> frozenset[str]:
@@ -247,10 +253,11 @@ def write_topic_rows(rows: Iterable[tuple[int, np.ndarray]], path, trailer: str 
         fh.write(trailer)
 
 
-def read_topic_rows(path) -> list[tuple[int, int, np.ndarray]]:
+def read_topic_rows(path, zero_ok: bool = False) -> list[tuple[int, int, np.ndarray]]:
     """Inverse of write_topic_rows, as (1-based line, id, values) per row; '#' lines are
-    skipped and ``id,`` reads as an empty row. A non-numeric field, or a non-empty
-    row wider or narrower than the first, is a ParseError."""
+    skipped and ``id,`` reads as an empty row. A non-numeric field, a non-empty
+    row wider or narrower than the first, or a row that does not sum to 1 is a
+    ParseError; with ``zero_ok``, empty and all-zero rows are let through."""
     rows, width = [], 0
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
@@ -264,6 +271,8 @@ def read_topic_rows(path) -> list[tuple[int, int, np.ndarray]]:
         width = width or len(dist)
         if len(dist) not in (0, width):
             raise ParseError(line_no, f"{path}: {len(dist)} values, expected {width}")
+        if not sums_to_one(dist) and (dist.any() or not zero_ok):
+            raise ParseError(line_no, f"{path}: values sum to {float(dist.sum())!r}, not 1")
     return rows
 
 

@@ -14,15 +14,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import lda
-from .ingest import ParseError, RatingDataset
+from .ingest import RatingDataset
 from .lda import ItemTopicProfile
-
-SUM_TOLERANCE = 1e-6  # how far a defined persona's sum may stray from 1
-
-
-def sums_to_one(d: np.ndarray) -> bool:
-    """Whether d sums to 1 within SUM_TOLERANCE; never for a NaN sum."""
-    return bool(abs(d.sum() - 1.0) <= SUM_TOLERANCE)
 
 
 @dataclass
@@ -87,12 +80,5 @@ def load_personas_csv(path) -> dict[int, UserPersona]:
     """Inverse of write_personas_csv; all-zero and empty rows come back undefined.
     documented_item_count is not persisted, so loaded personas carry None.
     Any other row must sum to 1, or it is a ParseError naming its line."""
-    personas = {}
-    for line_no, u, dist in lda.read_topic_rows(path):
-        if not dist.any():
-            personas[u] = UserPersona(u, None, documented_item_count=0)
-        elif not sums_to_one(dist):
-            raise ParseError(line_no, f"{path}: values sum to {float(dist.sum())!r}, not 1")
-        else:
-            personas[u] = UserPersona(u, dist)
-    return personas
+    return {u: UserPersona(u, dist) if dist.any() else UserPersona(u, None, documented_item_count=0)
+            for _, u, dist in lda.read_topic_rows(path, zero_ok=True)}

@@ -4,8 +4,9 @@ variant, and user-based / item-based CF baselines.
 Neighborhood recommenders rank candidate items by total_weight: the fraction
 of the neighborhood that liked the item. Baselines rank by a similarity-
 weighted average of neighbor (or own) ratings. Every top-N neighborhood and
-every top-K list is picked by ``_best``: highest score first, ties by
-ascending id, so every run is reproducible.
+every top-K list is picked by ``_top`` from a score array over the train
+users or items (NaN: not scored): highest score first, ties by ascending id,
+so every run is reproducible.
 
 Hybrid, topic-only, LLR user-based and item-based CF score a user against
 everyone at once through similarity's batch rows, which equal the per-pair
@@ -14,11 +15,11 @@ functions bit for bit; Pearson user-based CF scores one pair at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .ingest import RatingDataset, csr_entries
+from .ingest import RatingDataset, csr_entries, csr_row
 from .persona import UserPersona
 from .similarity import (  # the per-pair functions stay importable from here
     UNDEFINED,
@@ -59,19 +60,24 @@ class RecommendationList:
         return [r.item_id for r in self.items]
 
 
-def _best(scored: Iterable[tuple[int, float]], n: int) -> list[tuple[int, float]]:
-    """The n best (id, score) pairs, ordered by (-score, id)."""
-    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:n]
+def _top(ids: np.ndarray, scores: np.ndarray, keep: np.ndarray, n: int) -> list[tuple[int, float]]:
+    """The n best (id, score) pairs that ``keep`` selects, ordered by (-score, id)."""
+    ids, scores = ids[keep], scores[keep]
+    if len(scores) > n:  # only scores at or above the n-th best can be picked
+        keep = scores >= np.partition(scores, -n)[-n]
+        ids, scores = ids[keep], scores[keep]
+    return sorted(zip(ids.tolist(), scores.tolist()), key=lambda pair: (-pair[1], pair[0]))[:n]
 
 
-def _ranked(
-    user: int, scores: Mapping[int, float], train: RatingDataset, K: int
-) -> RecommendationList:
-    """The top K of {item: score}, leaving out the user's own train items."""
+def _ranked(user: int, scores: np.ndarray, train: RatingDataset, K: int) -> RecommendationList:
+    """The top K of a score array over every train item, in index order (NaN:
+    not scored), leaving out the user's own train items."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    rated = train.user_items(user)
-    best = _best(((item, s) for item, s in scores.items() if item not in rated), K)
+    ix = train.index
+    keep = ~np.isnan(scores)
+    keep[ix.user_items[csr_row(ix.user_ptr, ix.user_ids, user)]] = False
+    best = _top(ix.item_ids, scores, keep, K)
     return RecommendationList(user, tuple(Recommendation(item, s) for item, s in best))
 
 
@@ -91,11 +97,7 @@ def _row_neighborhood(user: int, row: np.ndarray, train: RatingDataset, N: int) 
         raise ValueError(f"N must be >= 1, got {N}")
     ids = train.index.user_ids
     keep = (row > 0.0) & (ids != user)  # NaN > 0.0 is False
-    ids, row = ids[keep], row[keep]
-    if len(row) > N:  # only scores at or above the N-th best can be picked
-        keep = row >= np.partition(row, -N)[-N]
-        ids, row = ids[keep], row[keep]
-    return NeighborSet(user, tuple(_best(zip(ids.tolist(), row.tolist()), N)))
+    return NeighborSet(user, tuple(_top(ids, row, keep, N)))
 
 
 def recommend_neighborhood(
@@ -117,9 +119,8 @@ def recommend_neighborhood(
     rated = csr_entries(ix.user_ptr, np.searchsorted(ix.user_ids, ids[np.isin(ids, ix.user_ids)]))
     liked = rated[train.columns.rating[rated] >= like_threshold]
     counts = np.bincount(ix.user_items[liked], minlength=len(ix.item_ids))
-    scored = np.flatnonzero(counts)
-    fractions = counts[scored] / len(neighbors.neighbors)  # int / int, as exact as Python's
-    return _ranked(user, dict(zip(ix.item_ids[scored].tolist(), fractions.tolist())), train, K)
+    # counts / neighbor count: both exact as floats, so as exact as Python's int / int
+    return _ranked(user, counts / np.where(counts > 0, len(neighbors.neighbors), np.nan), train, K)
 
 
 def recommend_user_based(
@@ -130,7 +131,8 @@ def recommend_user_based(
     K: int = 75,
 ) -> RecommendationList:
     """Standard user-based CF: rating-overlap neighborhood, then predicted
-    rating sum(sim * r) / sum(|sim|) over neighbors who rated the candidate."""
+    rating sum(sim * r) / sum(|sim|) over neighbors who rated the candidate.
+    np.add.at adds the terms one by one in neighbor order, as a loop would."""
     if sim not in USER_SIMILARITIES:
         raise ValueError(f"unknown similarity {sim!r}; expected one of {USER_SIMILARITIES}")
     if sim == "pearson":
@@ -138,13 +140,15 @@ def recommend_user_based(
             user, lambda a, b: pearson_similarity(a, b, train), train, N)
     else:
         neighbors = _row_neighborhood(user, llr_row(user, train), train, N)
-    num: dict[int, float] = {}
-    den: dict[int, float] = {}
-    for v, s in neighbors.neighbors:
-        for item, rating in train.by_user.get(v, ()):
-            num[item] = num.get(item, 0.0) + s * rating
-            den[item] = den.get(item, 0.0) + abs(s)
-    return _ranked(user, {item: num[item] / den[item] for item in num}, train, K)
+    ix = train.index
+    rows = np.searchsorted(ix.user_ids, [v for v, _ in neighbors.neighbors])
+    rated = csr_entries(ix.user_ptr, rows)
+    sims = np.repeat([s for _, s in neighbors.neighbors], ix.user_degree[rows])
+    num = np.zeros(len(ix.item_ids))
+    den = np.zeros(len(ix.item_ids))
+    np.add.at(num, ix.user_items[rated], sims * train.columns.rating[rated])
+    np.add.at(den, ix.user_items[rated], np.abs(sims))
+    return _ranked(user, num / np.where(den > 0.0, den, np.nan), train, K)
 
 
 def recommend_item_based(user: int, train: RatingDataset, K: int = 75) -> RecommendationList:
@@ -155,17 +159,17 @@ def recommend_item_based(user: int, train: RatingDataset, K: int = 75) -> Recomm
     Every candidate's sums grow together, one rated item at a time in stored
     order; a skipped term adds +0.0, which leaves each sum's bits unchanged.
     """
-    items = train.index.item_ids
-    num = np.zeros(len(items))
-    den = np.zeros(len(items))
-    for j, rating in train.by_user.get(user, ()):
+    ix = train.index
+    own = csr_row(ix.user_ptr, ix.user_ids, user)
+    num = np.zeros(len(ix.item_ids))
+    den = np.zeros(len(ix.item_ids))
+    for j, rating in zip(ix.item_ids[ix.user_items[own]].tolist(),
+                         train.columns.rating[own].tolist()):
         s = item_llr_col(j, train)
         s = np.where(s > 0.0, s, 0.0)
         num = num + s * rating
         den = den + s
-    scored = den > 0.0
-    scores = dict(zip(items[scored].tolist(), (num[scored] / den[scored]).tolist()))
-    return _ranked(user, scores, train, K)
+    return _ranked(user, num / np.where(den > 0.0, den, np.nan), train, K)
 
 
 def recommend_hybrid(

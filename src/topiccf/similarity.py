@@ -8,8 +8,10 @@ the product of the topic term and the LLR term.
 
 Each measure but Pearson also has a batch form that scores one user (or one
 item) against every train user (or item) at once, in ``train.index`` order.
-The batch forms repeat the per-pair arithmetic operation for operation, so
-every float they give equals the per-pair function's bit for bit.
+Every float a batch form gives equals the per-pair function's bit for bit:
+G2 and the LLR score have one definition, over many tables, of which a
+per-pair LLR is the one-table case; the hybrid rule has one too; the topic
+row repeats the per-pair KL arithmetic operation for operation.
 """
 from __future__ import annotations
 
@@ -18,8 +20,9 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .ingest import RatingDataset, csr_entries
-from .persona import UserPersona, sums_to_one
+from .ingest import RatingDataset, csr_entries, csr_row
+from .lda import sums_to_one
+from .persona import UserPersona
 
 KL_FLOOR = 1e-10
 
@@ -95,25 +98,9 @@ def pearson_similarity(u: int, v: int, train: RatingDataset) -> SimilarityScore:
     return SimilarityScore(max(-1.0, min(1.0, value)))
 
 
-def _g2(k11: int, k12: int, k21: int, k22: int) -> float:
-    """G2 statistic of a 2x2 table: 2 * sum k * ln(k*N / (rowSum*colSum)), 0*ln0 = 0."""
-    n = k11 + k12 + k21 + k22
-    r1, r2 = k11 + k12, k21 + k22
-    c1, c2 = k11 + k21, k12 + k22
-    total = 0.0
-    for k, r, c in ((k11, r1, c1), (k12, r1, c2), (k21, r2, c1), (k22, r2, c2)):
-        if k > 0:
-            total += k * math.log(k * n / (r * c))
-    return max(0.0, 2.0 * total)  # clamp guards float cancellation
-
-
 def _llr(a: frozenset[int], b: frozenset[int], universe: int) -> SimilarityScore:
-    """1 - 1/(1 + G2) of the table: shared ids, ids only in a, only in b, in neither."""
-    k11 = len(a & b)
-    k12 = len(a) - k11
-    k21 = len(b) - k11
-    g2 = _g2(k11, k12, k21, universe - k11 - k12 - k21)
-    return SimilarityScore(1.0 - 1.0 / (1.0 + g2))
+    """_llr_rows of the one table of a and b."""
+    return SimilarityScore(float(_llr_rows(np.array([len(a & b)]), len(a), len(b), universe)[0]))
 
 
 def llr_similarity(u: int, v: int, train: RatingDataset) -> SimilarityScore:
@@ -131,12 +118,13 @@ def item_llr_similarity(i: int, j: int, train: RatingDataset) -> SimilarityScore
 
 
 def _g2_rows(k11: np.ndarray, k12: np.ndarray, k21: np.ndarray, k22: np.ndarray) -> np.ndarray:
-    """_g2 of many tables at once, by the same operations in the same cell order.
+    """G2 statistic of each 2x2 table: 2 * sum k * ln(k*N / (rowSum*colSum)), 0*ln0 = 0,
+    clamped at 0 against float cancellation.
 
-    A cell with k = 0 adds +0.0 where _g2 skips it, which changes no sum; its
-    log argument is fed as 1.0. The logs are math.log's, taken once per
-    distinct argument: np.log differs from it in the last bit on some
-    arguments. Exact while every k*N and r*c < 2**53.
+    The four cells are added in a fixed order; a cell with k = 0 adds +0.0.
+    The logs are math.log's, taken once per distinct argument: np.log differs
+    from it in the last bit on some arguments. Exact while every k*N and
+    r*c < 2**53.
     """
     n = k11 + k12 + k21 + k22
     r1, r2 = k11 + k12, k21 + k22
@@ -148,22 +136,15 @@ def _g2_rows(k11: np.ndarray, k12: np.ndarray, k21: np.ndarray, k22: np.ndarray)
     logs = np.array(list(map(math.log, distinct.tolist())))
     terms = k * logs[inverse].reshape(k.shape)
     g2 = 2.0 * (0.0 + terms[0] + terms[1] + terms[2] + terms[3])
-    return np.where(g2 > 0.0, g2, 0.0)  # max(0.0, g2), as _g2 clamps
+    return np.where(g2 > 0.0, g2, 0.0)
 
 
 def _llr_rows(k11: np.ndarray, size_a, size_b, universe: int) -> np.ndarray:
-    """_llr's value for many tables, given |a & b|, |a| and |b| of each."""
+    """1 - 1/(1 + G2) of many tables (shared ids, ids only in a, only in b, in
+    neither), given |a & b|, |a| and |b| of each."""
     k12 = size_a - k11
     k21 = size_b - k11
     return 1.0 - 1.0 / (1.0 + _g2_rows(k11, k12, k21, universe - k11 - k12 - k21))
-
-
-def _csr_row(ptr: np.ndarray, cols: np.ndarray, ids: np.ndarray, id_: int) -> np.ndarray:
-    """The CSR row of the entity with id ``id_``; empty when it is not in ``ids``."""
-    pos = int(np.searchsorted(ids, id_))
-    if pos == len(ids) or ids[pos] != id_:
-        return cols[:0]
-    return cols[ptr[pos]:ptr[pos + 1]]
 
 
 def _co_counts(ptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
@@ -174,7 +155,7 @@ def _co_counts(ptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, size: int) -
 def llr_row(user: int, train: RatingDataset) -> np.ndarray:
     """llr_similarity(user, v, train).value for every train user v, in index order."""
     ix = train.index
-    items = _csr_row(ix.user_ptr, ix.user_items, ix.user_ids, user)
+    items = ix.user_items[csr_row(ix.user_ptr, ix.user_ids, user)]
     k11 = _co_counts(ix.item_ptr, ix.item_users, items, len(ix.user_ids))
     return _llr_rows(k11, len(items), ix.user_degree, train.num_items)
 
@@ -182,7 +163,7 @@ def llr_row(user: int, train: RatingDataset) -> np.ndarray:
 def item_llr_col(item: int, train: RatingDataset) -> np.ndarray:
     """item_llr_similarity(i, item, train).value for every train item i, in index order."""
     ix = train.index
-    users = _csr_row(ix.item_ptr, ix.item_users, ix.item_ids, item)
+    users = ix.item_users[csr_row(ix.item_ptr, ix.item_ids, item)]
     k11 = _co_counts(ix.user_ptr, ix.user_items, users, len(ix.item_ids))
     return _llr_rows(k11, ix.item_degree, len(users), train.num_users)
 
@@ -220,18 +201,20 @@ def topic_row(user: int, personas: Mapping[int, UserPersona], train: RatingDatas
     return values
 
 
+def _hybrid(topic, llr):
+    """The hybrid rule, on floats or arrays: topic * LLR, or bare LLR where
+    topic is NaN (undefined)."""
+    return np.where(np.isnan(topic), llr, topic * llr)
+
+
+def _value(score: SimilarityScore) -> float:
+    """score.value, or NaN when the score is undefined."""
+    return score.value if score.defined else math.nan
+
+
 def hybrid_row(user: int, personas: Mapping[int, UserPersona], train: RatingDataset) -> np.ndarray:
     """hybrid_similarity(user, v, ...).value for every train user v, in index order."""
-    topic = topic_row(user, personas, train)
-    llr = llr_row(user, train)
-    return np.where(np.isnan(topic), llr, topic * llr)  # _combine's rule
-
-
-def _combine(topic: SimilarityScore, overlap: SimilarityScore) -> SimilarityScore:
-    """The hybrid rule: topic * LLR, or bare LLR when topic is undefined."""
-    if not topic.defined:
-        return overlap
-    return SimilarityScore(topic.value * overlap.value)
+    return _hybrid(topic_row(user, personas, train), llr_row(user, train))
 
 
 def hybrid_similarity(
@@ -242,8 +225,8 @@ def hybrid_similarity(
 ) -> SimilarityScore:
     """topic_similarity * llr_similarity; falls back to LLR alone when either
     persona is undefined, so such users stay recommendable."""
-    return _combine(topic_similarity(personas.get(u), personas.get(v)),
-                    llr_similarity(u, v, train))
+    topic = _value(topic_similarity(personas.get(u), personas.get(v)))
+    return SimilarityScore(float(_hybrid(topic, llr_similarity(u, v, train).value)))
 
 
 def write_similarity_audit(
@@ -257,8 +240,7 @@ def write_similarity_audit(
         fh.write("user_a,user_b,topic,llr,hybrid\n")
         for a_pos, a in enumerate(users):
             for b in users[a_pos + 1:]:
-                topic = topic_similarity(personas.get(a), personas.get(b))
-                llr = llr_similarity(a, b, train)
-                hyb = _combine(topic, llr)
-                topic_field = f"{float(topic.value)!r}" if topic.defined else "undefined"
-                fh.write(f"{a},{b},{topic_field},{float(llr.value)!r},{float(hyb.value)!r}\n")
+                topic = _value(topic_similarity(personas.get(a), personas.get(b)))
+                llr = llr_similarity(a, b, train).value
+                topic_field = "undefined" if math.isnan(topic) else repr(float(topic))
+                fh.write(f"{a},{b},{topic_field},{llr!r},{float(_hybrid(topic, llr))!r}\n")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -442,3 +444,46 @@ def test_unnormalised_persona_row_names_file_and_line(tiny_inputs, tmp_path, cap
     assert err.startswith("error: line 2: ") and str(out / "personas.csv") in err
     assert "sum" in err
     assert not (out / "report.csv").exists()
+
+
+def test_similarity_audit_is_pinned(tiny_inputs, tmp_path):
+    # similarities.csv's bytes: a change to the per-pair topic, LLR or hybrid
+    # arithmetic, or to the audit's format, changes this digest.
+    out = tmp_path / "out"
+    args = _base_args(*tiny_inputs, out)
+    for stage in ("split", "train", "personas"):
+        assert main([stage] + args) == 0
+    assert main(["evaluate"] + args + ["--algorithms", "ubcf_llr", "--dump-similarities"]) == 0
+    assert hashlib.sha256((out / "similarities.csv").read_bytes()).hexdigest() == (
+        "a4a02fafe01c6c8a7561657754d8a7838759059ad3fd051df615dce8ca0159fc")
+
+
+@pytest.mark.parametrize("stage,flag,key", [("split", "--split-seed", "split_seed"),
+                                            ("train", "--lda-seed", "lda_seed")])
+def test_negative_seed_is_a_configuration_error(tiny_inputs, tmp_path, capsys, stage, flag, key):
+    out = tmp_path / "out"
+    assert main([stage] + _base_args(*tiny_inputs, out) + [flag, "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "-1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["halved", "zeroed"])
+def test_unnormalised_theta_row_names_file_and_line(tiny_inputs, tmp_path, capsys, damage):
+    out = tmp_path / "out"
+    args = _base_args(*tiny_inputs, out)
+    for upstream in ("split", "train"):
+        assert main([upstream] + args) == 0
+    lines = (out / "theta.csv").read_text().splitlines()
+    head, _, last = lines[2].rpartition(",")
+    if damage == "halved":
+        lines[2] = f"{head},{float(last) / 2!r}"
+    else:
+        lines[2] = head.split(",")[0] + ",0.0" * lines[2].count(",")
+    (out / "theta.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["personas"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and str(out / "theta.csv") in err
+    assert "sum" in err
+    assert not (out / "personas.csv").exists()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -414,3 +415,20 @@ def test_topic_row_raises_the_per_pair_error(bad):
         assert _first_error(lambda: similarity.hybrid_row(u, personas, train)) == want
         errors.add(want)
     assert len(errors - {None}) >= (1 if len(bad) == 2 else 2)  # as p and as q
+
+
+def test_per_pair_llr_and_hybrid_values_are_pinned():
+    # The per-pair values' bits: any other arithmetic for the LLR table, G2 or
+    # the hybrid rule changes this digest; any rewrite of them must match it.
+    digest = hashlib.sha256()
+    for train, personas in _row_instances():
+        users, items = train.users(), train.items()
+        for u in users:
+            for v in users:
+                digest.update(llr_similarity(u, v, train).value.hex().encode())
+                digest.update(hybrid_similarity(u, v, personas, train).value.hex().encode())
+        for i in items:
+            for j in items:
+                digest.update(item_llr_similarity(i, j, train).value.hex().encode())
+    assert digest.hexdigest() == (
+        "cc388663f06010ae9ad01b90a1198b58abf4abc22ebd149cdb893523f5e50405")
