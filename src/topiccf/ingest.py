@@ -107,7 +107,8 @@ class RatingIndex(NamedTuple):
     ``user_items[user_ptr[u]:user_ptr[u + 1]]`` are user u's item positions,
     ascending; ``item_users[item_ptr[i]:item_ptr[i + 1]]`` are item i's user
     positions, ascending. The degrees are the row lengths. ``user_items`` runs
-    in dataset row order, so the dataset's ``columns.rating`` lines up with it.
+    in dataset row order, so the dataset's ``columns.rating`` lines up with it;
+    ``item_ratings`` is that column reordered to line up with ``item_users``.
     """
 
     user_ids: np.ndarray
@@ -116,15 +117,17 @@ class RatingIndex(NamedTuple):
     user_items: np.ndarray
     item_ptr: np.ndarray
     item_users: np.ndarray
+    item_ratings: np.ndarray
     user_degree: np.ndarray
     item_degree: np.ndarray
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row pointers, columns) of the pairs (rows[k], cols[k]), stably grouped by row."""
+def _csr(rows: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row pointers, order) of the entries of ``rows``: ``order`` lists their
+    positions stably grouped by row, row r's group being order[ptr[r]:ptr[r + 1]]."""
     ptr = np.zeros(n_rows + 1, dtype=np.int32)
     ptr[1:] = np.cumsum(np.bincount(rows, minlength=n_rows))
-    return ptr, cols[np.argsort(rows, kind="stable")].astype(np.int32)
+    return ptr, np.argsort(rows, kind="stable")
 
 
 def csr_row(ptr: np.ndarray, ids: np.ndarray, id_: int) -> slice:
@@ -149,9 +152,10 @@ class RatingDataset:
     The ratings are held as ``columns`` in (user, item) order;
     ``duplicates_dropped`` counts the ratings that a later rating of the same
     pair replaced. Everything else is derived from the columns on first use and kept:
-    ``records``, ``by_user`` (users ascending, to (item_id, rating) tuples in
-    item order) and the item-set and user-set views serve the per-pair
-    similarity measures and the tests, ``index`` the batch ones.
+    ``records`` and ``by_user`` (users ascending, to (item_id, rating) tuples in
+    item order) serve personas, evaluate and the tests; the item-set and
+    user-set views serve the per-pair LLR measures; ``index`` serves the batch
+    rows and per-pair Pearson.
     """
 
     def __init__(self, ratings: Iterable[RatingRecord] | RatingColumns = ()):
@@ -178,18 +182,20 @@ class RatingDataset:
         return np.unique(self.columns.item)
 
     @cached_property
-    def _per_user(self) -> tuple[dict, dict]:
-        """by_user and each user's item set, built together on first use of either,
-        so building personas from by_user also readies the sets that Pearson and
-        the per-pair similarity functions read."""
+    def by_user(self) -> dict[int, tuple[tuple[int, float], ...]]:
         user_ids, ptr = self._user_runs
+        ptr = ptr.tolist()
+        pairs = list(zip(self.columns.item.tolist(), self.columns.rating.tolist()))
+        return {u: tuple(pairs[s:e]) for u, s, e in zip(user_ids.tolist(), ptr, ptr[1:])}
+
+    @cached_property
+    def _items_of(self) -> dict[int, frozenset[int]]:
+        """Each user's item set, for the per-pair LLR; built apart from by_user,
+        which the persona build reads without needing the sets."""
+        user_ids, ptr = self._user_runs
+        ptr = ptr.tolist()
         items = self.columns.item.tolist()
-        pairs = list(zip(items, self.columns.rating.tolist()))
-        by_user, item_sets = {}, {}
-        for u, start, end in zip(user_ids.tolist(), ptr.tolist(), ptr[1:].tolist()):
-            by_user[u] = tuple(pairs[start:end])
-            item_sets[u] = frozenset(items[start:end])
-        return by_user, item_sets
+        return {u: frozenset(items[s:e]) for u, s, e in zip(user_ids.tolist(), ptr, ptr[1:])}
 
     @cached_property
     def _raters(self) -> dict[int, frozenset[int]]:
@@ -197,14 +203,6 @@ class RatingDataset:
         users = ix.user_ids[ix.item_users].tolist()
         ptr = ix.item_ptr.tolist()
         return {i: frozenset(users[s:e]) for i, s, e in zip(ix.item_ids.tolist(), ptr, ptr[1:])}
-
-    @cached_property
-    def by_user(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        return self._per_user[0]
-
-    @cached_property
-    def _items_of(self) -> dict[int, frozenset[int]]:
-        return self._per_user[1]
 
     @cached_property
     def records(self) -> tuple[RatingRecord, ...]:
@@ -245,9 +243,10 @@ class RatingDataset:
         items = np.searchsorted(item_ids, self.columns.item)
         users = np.repeat(np.arange(len(user_ids)), np.diff(rows))
         user_ptr = rows.astype(np.int32)
-        item_ptr, item_users = _csr(items, users, len(item_ids))
+        item_ptr, order = _csr(items, len(item_ids))
         return RatingIndex(user_ids, item_ids, user_ptr, items.astype(np.int32), item_ptr,
-                           item_users, np.diff(user_ptr), np.diff(item_ptr))
+                           users[order].astype(np.int32), self.columns.rating[order],
+                           np.diff(user_ptr), np.diff(item_ptr))
 
     def __len__(self) -> int:
         return len(self.columns.user)

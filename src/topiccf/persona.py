@@ -38,11 +38,13 @@ def build_persona(
     profiles: Mapping[int, ItemTopicProfile],
 ) -> UserPersona:
     """Weighted sum of profiled items' topic rows; weights are ratings normalized
-    over the documented items only."""
+    over the documented items only, by their left-to-right sum in the given order."""
     documented = [(i, r) for i, r in ratings if i in profiles]
     if not documented:
         return UserPersona(user_id, None, documented_item_count=0)
-    total = sum(r for _, r in documented)
+    total = 0.0
+    for _, r in documented:  # left to right: Python 3.12's sum() is compensated
+        total += r
     dist = None
     for item, r in documented:
         contrib = (r / total) * profiles[item].distribution

@@ -8,9 +8,9 @@ every top-K list is picked by ``_top`` from a score array over the train
 users or items (NaN: not scored): highest score first, ties by ascending id,
 so every run is reproducible.
 
-Hybrid, topic-only, LLR user-based and item-based CF score a user against
-everyone at once through similarity's batch rows, which equal the per-pair
-functions bit for bit; Pearson user-based CF scores one pair at a time.
+Every recommender scores a user against everyone at once through
+similarity's batch rows, which equal the per-pair functions bit for bit; none
+calls a per-pair function.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from .similarity import (  # the per-pair functions stay importable from here
     item_llr_similarity,
     llr_row,
     llr_similarity,
+    pearson_row,
     pearson_similarity,
     topic_row,
     topic_similarity,
@@ -135,11 +136,8 @@ def recommend_user_based(
     np.add.at adds the terms one by one in neighbor order, as a loop would."""
     if sim not in USER_SIMILARITIES:
         raise ValueError(f"unknown similarity {sim!r}; expected one of {USER_SIMILARITIES}")
-    if sim == "pearson":
-        neighbors = build_neighborhood(
-            user, lambda a, b: pearson_similarity(a, b, train), train, N)
-    else:
-        neighbors = _row_neighborhood(user, llr_row(user, train), train, N)
+    row = (pearson_row if sim == "pearson" else llr_row)(user, train)
+    neighbors = _row_neighborhood(user, row, train, N)
     ix = train.index
     rows = np.searchsorted(ix.user_ids, [v for v, _ in neighbors.neighbors])
     rated = csr_entries(ix.user_ptr, rows)

@@ -6,12 +6,14 @@ over co-rated items or a log-likelihood-ratio score on the 2x2 preference
 contingency table, mapped to [0, 1) by 1 - 1/(1 + G2). The hybrid score is
 the product of the topic term and the LLR term.
 
-Each measure but Pearson also has a batch form that scores one user (or one
-item) against every train user (or item) at once, in ``train.index`` order.
+Each measure also has a batch form that scores one user (or one item)
+against every train user (or item) at once, in ``train.index`` order.
 Every float a batch form gives equals the per-pair function's bit for bit:
 G2 and the LLR score have one definition, over many tables, of which a
-per-pair LLR is the one-table case; the hybrid rule has one too; the topic
-row repeats the per-pair KL arithmetic operation for operation.
+per-pair LLR is the one-table case; Pearson has one, over many candidates,
+of which a per-pair Pearson is the one-candidate case; the hybrid rule has
+one too; the topic row repeats the per-pair KL arithmetic operation for
+operation.
 """
 from __future__ import annotations
 
@@ -77,25 +79,52 @@ def topic_similarity(u: UserPersona | None, v: UserPersona | None) -> Similarity
 
 def pearson_similarity(u: int, v: int, train: RatingDataset) -> SimilarityScore:
     """Pearson correlation over co-rated items, each user centered on their own
-    mean over that subset. Undefined below 2 co-rated items or at zero variance."""
-    common = train.user_items(u) & train.user_items(v)
-    if len(common) < 2:
-        return UNDEFINED
-    xs = [r for i, r in train.by_user[u] if i in common]  # by_user is in item order
-    ys = [r for i, r in train.by_user[v] if i in common]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    dot = ssx = ssy = 0.0
-    for x, y in zip(xs, ys):
-        dx = x - mx
-        dy = y - my
-        dot += dx * dy
-        ssx += dx * dx
-        ssy += dy * dy
-    if ssx == 0.0 or ssy == 0.0:
-        return UNDEFINED
-    value = dot / math.sqrt(ssx * ssy)
-    return SimilarityScore(max(-1.0, min(1.0, value)))
+    mean over that subset. Undefined below 2 co-rated items or at zero variance.
+    _pearson_rows of the one candidate v."""
+    ix = train.index
+    a = csr_row(ix.user_ptr, ix.user_ids, u)
+    b = csr_row(ix.user_ptr, ix.user_ids, v)
+    _, ia, ib = np.intersect1d(ix.user_items[a], ix.user_items[b], assume_unique=True,
+                               return_indices=True)  # co-rated, in item order
+    x, y = train.columns.rating[a][ia], train.columns.rating[b][ib]
+    value = float(_pearson_rows(x, y, np.zeros(len(x), dtype=np.intp), 1)[0])
+    return UNDEFINED if math.isnan(value) else SimilarityScore(value)
+
+
+def _pearson_rows(x: np.ndarray, y: np.ndarray, cand: np.ndarray, size: int) -> np.ndarray:
+    """Pearson correlation of each of ``size`` candidates over its entries: the
+    co-rated pairs (x[k], y[k]) with cand[k] == c, in item order. NaN where
+    undefined: below 2 entries, or where either sum of squares is 0.
+
+    Every sum is the left-to-right sum over a candidate's entries in item
+    order (np.bincount adds in input order), starting from 0.0: the means
+    (sum / n), then dot, ssx and ssy of the centered ratings.
+    """
+    n = np.bincount(cand, minlength=size)
+    count = np.where(n > 0, n, np.nan)
+    dx = x - (np.bincount(cand, x, minlength=size) / count)[cand]
+    dy = y - (np.bincount(cand, y, minlength=size) / count)[cand]
+    dot = np.bincount(cand, dx * dy, minlength=size)
+    ssx = np.bincount(cand, dx * dx, minlength=size)
+    ssy = np.bincount(cand, dy * dy, minlength=size)
+    defined = (n >= 2) & (ssx != 0.0) & (ssy != 0.0)
+    value = dot / np.sqrt(np.where(defined, ssx * ssy, np.nan))
+    return np.clip(value, -1.0, 1.0)
+
+
+def pearson_row(user: int, train: RatingDataset) -> np.ndarray:
+    """pearson_similarity(user, v, train).value for every train user v, in index
+    order; NaN where undefined.
+
+    The entries are the raters of each of the user's items, item after item,
+    so each candidate's co-rated pairs arrive in item order.
+    """
+    ix = train.index
+    own = csr_row(ix.user_ptr, ix.user_ids, user)
+    items = ix.user_items[own]
+    entries = csr_entries(ix.item_ptr, items)
+    x = np.repeat(train.columns.rating[own], ix.item_degree[items])
+    return _pearson_rows(x, ix.item_ratings[entries], ix.item_users[entries], len(ix.user_ids))
 
 
 def _llr(a: frozenset[int], b: frozenset[int], universe: int) -> SimilarityScore:

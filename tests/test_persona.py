@@ -136,3 +136,14 @@ def test_all_undefined_personas_csv_round_trip(tmp_path):
     loaded = load_personas_csv(path)
     assert sorted(loaded) == [1, 2]
     assert undefined_count(loaded) == 2
+
+
+def test_total_is_the_left_to_right_sum_in_item_order():
+    # 1.1 + 1.3 + 1.1 is 3.5000000000000004 added left to right (Python 3.11's
+    # sum) and 3.5 compensated (Python 3.12's); the total is the former.
+    profiles = _profiles({10: [0.5, 0.25, 0.25], 11: [0.1, 0.2, 0.7], 12: [0.3, 0.3, 0.4]})
+    p = build_persona(1, [(10, 1.1), (11, 1.3), (12, 1.1)], profiles)
+    total = 3.5000000000000004
+    want = ((1.1 / total) * profiles[10].distribution + (1.3 / total) * profiles[11].distribution
+            + (1.1 / total) * profiles[12].distribution)
+    assert p.distribution.tolist() == want.tolist()

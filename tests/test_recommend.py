@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from topiccf import recommend, similarity
 from topiccf.ingest import RatingDataset, RatingRecord
 from topiccf.persona import UserPersona
 from topiccf.recommend import (
@@ -12,7 +13,7 @@ from topiccf.recommend import (
     recommend_topic_only,
     recommend_user_based,
 )
-from topiccf.similarity import SimilarityScore, UNDEFINED
+from topiccf.similarity import SimilarityScore, UNDEFINED, pearson_similarity
 
 from oracles import (
     naive_item_based,
@@ -346,3 +347,38 @@ def test_batched_recommenders_match_oracle_scores_bit_for_bit():
                 naive_user_based(u, by_user, llr_sim, 6, 10)
             assert pairs(recommend_item_based(u, train, K=10)) == \
                 naive_item_based(u, by_user, item_sim, 10)
+
+
+def test_pearson_user_based_equals_the_per_pair_neighbourhood_path():
+    # The neighbourhood comes from similarity.pearson_row; the per-pair path
+    # (build_neighborhood over pearson_similarity, then the dict loop) must
+    # give the same lists, scores included, for integer, half-star and
+    # non-dyadic ratings.
+    rng = np.random.default_rng(79)
+    for choices in ((1.0, 2.0, 3.0, 4.0, 5.0), tuple(np.arange(1, 11) / 2),
+                    (1.1, 1.3, 3.7, 0.1 + 0.2, 4.1)):
+        train = random_dataset(rng, max_users=40, max_items=60, rating_choices=choices,
+                               density=0.2)
+        users = train.users()
+        by_user = {u: list(pairs) for u, pairs in train.by_user.items()}
+        for u in users + [max(users) + 1]:
+            neighbors = build_neighborhood(
+                u, lambda a, b: pearson_similarity(a, b, train), train, 6).neighbors
+            want = naive_user_based(u, by_user, lambda a, b: dict(neighbors).get(b), 6, 10)
+            got = recommend_user_based(u, train, "pearson", N=6, K=10)
+            assert [(r.item_id, r.score) for r in got.items] == want
+
+
+@pytest.mark.parametrize("algo", sorted(_RECOMMENDERS))
+def test_recommenders_call_no_per_pair_similarity(algo, monkeypatch):
+    def per_pair(*args):
+        raise AssertionError("per-pair similarity called")
+    for name in ("hybrid_similarity", "topic_similarity", "pearson_similarity",
+                 "llr_similarity", "item_llr_similarity"):
+        monkeypatch.setattr(recommend, name, per_pair)
+        monkeypatch.setattr(similarity, name, per_pair)
+    rng = np.random.default_rng(2)
+    train = random_dataset(rng, max_users=20, max_items=30)
+    personas = random_personas(rng, train.users(), undefined_fraction=0.2)
+    for u in train.users():
+        _RECOMMENDERS[algo](u, personas, train, 5)

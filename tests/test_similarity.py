@@ -432,3 +432,77 @@ def test_per_pair_llr_and_hybrid_values_are_pinned():
                 digest.update(item_llr_similarity(i, j, train).value.hex().encode())
     assert digest.hexdigest() == (
         "cc388663f06010ae9ad01b90a1198b58abf4abc22ebd149cdb893523f5e50405")
+
+
+# ---------- Pearson row: bit-identical to the per-pair function ----------
+
+def _loop_pearson(xs, ys):
+    """The per-pair Pearson as a plain loop, every sum left to right from 0.0;
+    None where undefined."""
+    if len(xs) < 2:
+        return None
+    sx = sy = 0.0
+    for x, y in zip(xs, ys):
+        sx += x
+        sy += y
+    mx, my = sx / len(xs), sy / len(ys)
+    dot = ssx = ssy = 0.0
+    for x, y in zip(xs, ys):
+        dot += (x - mx) * (y - my)
+        ssx += (x - mx) * (x - mx)
+        ssy += (y - my) * (y - my)
+    if ssx == 0.0 or ssy == 0.0:
+        return None
+    return max(-1.0, min(1.0, dot / math.sqrt(ssx * ssy)))
+
+
+def _pearson_instances():
+    """Desk-shaped random instances with integer, half-star and non-dyadic
+    ratings, then one with exactly one co-rated item, zero variance on either
+    side and no overlap."""
+    rng = np.random.default_rng(2025)
+    for choices in ((1.0, 2.0, 3.0, 4.0, 5.0), tuple(np.arange(1, 11) / 2),
+                    (1.1, 1.3, 3.7, 0.1 + 0.2, 4.1)):
+        for _ in range(2):
+            yield random_dataset(rng, max_users=40, max_items=60, rating_choices=choices,
+                                 density=0.2)
+    yield _ds({1: [(10, 4.0), (11, 2.0), (12, 5.0)],
+               2: [(10, 5.0), (13, 1.0)],               # one co-rated item with 1
+               3: [(10, 3.0), (11, 3.0), (12, 3.0)],    # zero variance
+               4: [(20, 1.0), (21, 5.0)],               # no overlap with 1
+               5: [(10, 1.5), (11, 2.5), (12, 3.7)]})
+
+
+def test_pearson_row_equals_pearson_similarity_bit_for_bit():
+    for train in _pearson_instances():
+        users = train.users()
+        ratings = {u: dict(pairs) for u, pairs in train.by_user.items()}
+        for u in users + [max(users) + 1]:  # the last one is absent from train
+            row = similarity.pearson_row(u, train)
+            want = [pearson_similarity(u, v, train) for v in users]
+            assert np.isnan(row).tolist() == [not s.defined for s in want]
+            assert row[~np.isnan(row)].tolist() == [s.value for s in want if s.defined]
+            mine = ratings.get(u, {})
+            for v, s in zip(users, want):
+                common = sorted(set(mine) & set(ratings[v]))
+                ref = _loop_pearson([mine[i] for i in common], [ratings[v][i] for i in common])
+                assert (s.value if s.defined else None) == ref
+
+
+def test_item_ratings_line_up_with_item_users():
+    for train in _pearson_instances():
+        ix = train.index
+        ratings = {(r.user_id, r.item_id): r.rating for r in train.records}
+        for pos, i in enumerate(ix.item_ids.tolist()):
+            span = slice(ix.item_ptr[pos], ix.item_ptr[pos + 1])
+            assert ix.item_ratings[span].tolist() == [
+                ratings[u, i] for u in ix.user_ids[ix.item_users[span]].tolist()]
+
+
+def test_pearson_means_are_left_to_right_sums():
+    # 1.1 + 4.1 + 1.1 is 6.299999999999999 added left to right (Python 3.11's
+    # sum) and 6.3 compensated (Python 3.12's). The means are the former, which
+    # gives exactly -0.5 here; the compensated mean gives -0.5000000000000001.
+    train = _ds({1: [(10, 1.1), (11, 4.1), (12, 1.1)], 2: [(10, 1.0), (11, 1.0), (12, 2.0)]})
+    assert pearson_similarity(1, 2, train) == (-0.5, True)
+    assert similarity.pearson_row(1, train).tolist() == [1.0, -0.5]
