@@ -152,10 +152,10 @@ class RatingDataset:
     The ratings are held as ``columns`` in (user, item) order;
     ``duplicates_dropped`` counts the ratings that a later rating of the same
     pair replaced. Everything else is derived from the columns on first use and kept:
-    ``records`` and ``by_user`` (users ascending, to (item_id, rating) tuples in
-    item order) serve personas, evaluate and the tests; the item-set and
-    user-set views serve the per-pair LLR measures; ``index`` serves the batch
-    rows and per-pair Pearson.
+    ``user_runs`` serves the split and the persona build; ``records`` and
+    ``by_user`` (users ascending, to (item_id, rating) tuples in item order)
+    serve evaluate and the tests; the item-set and user-set views serve the
+    per-pair LLR measures; ``index`` serves the batch rows and per-pair Pearson.
     """
 
     def __init__(self, ratings: Iterable[RatingRecord] | RatingColumns = ()):
@@ -169,7 +169,7 @@ class RatingDataset:
         self.duplicates_dropped = len(given.user) - len(self.columns.user)
 
     @cached_property
-    def _user_runs(self) -> tuple[np.ndarray, np.ndarray]:
+    def user_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """(ascending user ids, row pointers): user k's ratings are rows ptr[k]:ptr[k + 1]."""
         u = self.columns.user
         first = np.ones(len(u), dtype=bool)
@@ -183,16 +183,15 @@ class RatingDataset:
 
     @cached_property
     def by_user(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        user_ids, ptr = self._user_runs
+        user_ids, ptr = self.user_runs
         ptr = ptr.tolist()
         pairs = list(zip(self.columns.item.tolist(), self.columns.rating.tolist()))
         return {u: tuple(pairs[s:e]) for u, s, e in zip(user_ids.tolist(), ptr, ptr[1:])}
 
     @cached_property
     def _items_of(self) -> dict[int, frozenset[int]]:
-        """Each user's item set, for the per-pair LLR; built apart from by_user,
-        which the persona build reads without needing the sets."""
-        user_ids, ptr = self._user_runs
+        """Each user's item set, for the per-pair LLR."""
+        user_ids, ptr = self.user_runs
         ptr = ptr.tolist()
         items = self.columns.item.tolist()
         return {u: frozenset(items[s:e]) for u, s, e in zip(user_ids.tolist(), ptr, ptr[1:])}
@@ -214,7 +213,7 @@ class RatingDataset:
 
     @cached_property
     def num_users(self) -> int:
-        return len(self._user_runs[0])
+        return len(self.user_runs[0])
 
     @cached_property
     def num_items(self) -> int:
@@ -227,7 +226,7 @@ class RatingDataset:
         return self._raters.get(item_id, frozenset())
 
     def users(self) -> list[int]:
-        return self._user_runs[0].tolist()
+        return self.user_runs[0].tolist()
 
     def items(self) -> list[int]:
         return self._item_ids.tolist()
@@ -238,7 +237,7 @@ class RatingDataset:
     @cached_property
     def index(self) -> RatingIndex:
         """The ratings as user->item and item->user CSR arrays, built on first use."""
-        user_ids, rows = self._user_runs
+        user_ids, rows = self.user_runs
         item_ids = self._item_ids
         items = np.searchsorted(item_ids, self.columns.item)
         users = np.repeat(np.arange(len(user_ids)), np.diff(rows))
@@ -386,10 +385,22 @@ def _ascii_ints(values: np.ndarray) -> np.ndarray:
     return cells
 
 
+def float_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """(the repr of each distinct float64 value, each value's index into that list),
+    the values raveled: every distinct value is formatted once.
+
+    Values are told apart by bit pattern, so -0.0 keeps its own text where
+    np.unique on the floats would merge it with 0.0.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    return [repr(v) for v in distinct.view(np.float64).tolist()], inverse
+
+
 def _ascii_reprs(values: np.ndarray) -> np.ndarray:
     """Each float's repr as a row of ASCII bytes, NUL-padded on the right."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    text = np.array([repr(v).encode() for v in distinct.tolist()], dtype=bytes)
+    text, inverse = float_reprs(values)
+    text = np.array([t.encode() for t in text], dtype=bytes)
     return text[inverse].reshape(-1, 1).view(np.uint8)
 
 
@@ -468,7 +479,7 @@ def split_train_test(ds: RatingDataset, fraction: float, seed: int) -> SplitPair
     """
     if not (0.0 < fraction < 1.0):
         raise ConfigurationError(f"fraction must be in (0, 1), got {fraction}")
-    user_ids, ptr = ds._user_runs
+    user_ids, ptr = ds.user_runs
     train = np.zeros(len(ds), dtype=bool)
     for user, start, end in zip(user_ids.tolist(), ptr.tolist(), ptr[1:].tolist()):
         order = np.random.default_rng([seed, user]).permutation(end - start)
@@ -479,7 +490,7 @@ def split_train_test(ds: RatingDataset, fraction: float, seed: int) -> SplitPair
 
 def dataset_summary(ds: RatingDataset) -> dict:
     """Users / items / max and average ratings-per-user, as in the usual dataset tables."""
-    counts = np.diff(ds._user_runs[1])
+    counts = np.diff(ds.user_runs[1])
     return {
         "users": ds.num_users,
         "items": ds.num_items,

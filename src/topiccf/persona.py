@@ -32,35 +32,66 @@ class UserPersona:
         return self.distribution is not None
 
 
+def _personas(user_ids: np.ndarray, rows: np.ndarray, items: np.ndarray, ratings: np.ndarray,
+              profiles: Mapping[int, ItemTopicProfile]) -> dict[int, UserPersona]:
+    """The persona of each of the ascending ``user_ids``: rating j is user
+    ``user_ids[rows[j]]``'s rating ``ratings[j]`` of item ``items[j]``, with
+    ``rows`` ascending and each user's ratings in the order they are added.
+
+    A user's total is the left-to-right sum of their documented ratings, and
+    their mix adds (r / total) * theta row in the same order. Each step is one
+    vector operation over every user's k-th documented rating at once, so the
+    bits are those of the per-user loop. The distributions are rows of one
+    read-only (users x T) block.
+    """
+    profiled = np.array(sorted(profiles), dtype=np.int64)
+    block = (np.array([profiles[i].distribution for i in profiled.tolist()], dtype=float)
+             if profiles else np.zeros((0, 0)))
+    pos = np.searchsorted(profiled, items)
+    documented = pos < len(profiled)
+    documented[documented] = profiled[pos[documented]] == items[documented]
+    rows, pos, ratings = rows[documented], pos[documented], ratings[documented]
+    count = np.bincount(rows, minlength=len(user_ids))
+    rank = np.arange(len(rows)) - (np.cumsum(count) - count)[rows]
+    by_rank = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
+    total = np.zeros(len(user_ids))
+    for at in by_rank:  # left to right: Python 3.12's sum() is compensated
+        total[rows[at]] += ratings[at]
+    weight = ratings / total[rows]
+    mix = np.zeros((len(user_ids), block.shape[1]))
+    for k, at in enumerate(by_rank):
+        term = weight[at, None] * block[pos[at]]
+        if k:
+            mix[rows[at]] += term
+        else:
+            mix[rows[at]] = term
+    mix.flags.writeable = False
+    return {u: UserPersona(u, mix[j] if n else None, documented_item_count=n)
+            for j, (u, n) in enumerate(zip(user_ids.tolist(), count.tolist()))}
+
+
 def build_persona(
     user_id: int,
     ratings: Iterable[tuple[int, float]],
     profiles: Mapping[int, ItemTopicProfile],
 ) -> UserPersona:
     """Weighted sum of profiled items' topic rows; weights are ratings normalized
-    over the documented items only, by their left-to-right sum in the given order."""
-    documented = [(i, r) for i, r in ratings if i in profiles]
-    if not documented:
-        return UserPersona(user_id, None, documented_item_count=0)
-    total = 0.0
-    for _, r in documented:  # left to right: Python 3.12's sum() is compensated
-        total += r
-    dist = None
-    for item, r in documented:
-        contrib = (r / total) * profiles[item].distribution
-        dist = contrib if dist is None else dist + contrib
-    return UserPersona(user_id, dist, documented_item_count=len(documented))
+    over the documented items only, by their left-to-right sum in the given order.
+    The one-user case of build_all_personas."""
+    pairs = list(ratings)
+    return _personas(np.array([user_id]), np.zeros(len(pairs), dtype=np.int64),
+                     np.array([i for i, _ in pairs], dtype=np.int64),
+                     np.array([r for _, r in pairs], dtype=float), profiles)[user_id]
 
 
 def build_all_personas(
     train: RatingDataset,
     profiles: Mapping[int, ItemTopicProfile],
 ) -> dict[int, UserPersona]:
-    """One persona per train user, keyed by user_id."""
-    return {
-        u: build_persona(u, train.by_user[u], profiles)
-        for u in train.users()
-    }
+    """One persona per train user, keyed by user_id, from the ratings in item order."""
+    user_ids, ptr = train.user_runs
+    rows = np.repeat(np.arange(len(user_ids)), np.diff(ptr))
+    return _personas(user_ids, rows, train.columns.item, train.columns.rating, profiles)
 
 
 def undefined_count(personas: Mapping[int, UserPersona]) -> int:
@@ -72,10 +103,12 @@ def write_personas_csv(personas: Mapping[int, UserPersona], path) -> None:
     A ``#undefined:<count>`` trailer records how many."""
     dims = {len(p.distribution) for p in personas.values() if p.defined}
     zeros = np.zeros(dims.pop() if dims else 0)
-    lda.write_topic_rows(
-        ((u, personas[u].distribution if personas[u].defined else zeros) for u in sorted(personas)),
-        path, trailer=f"#undefined:{undefined_count(personas)}\n",
-    )
+    users = sorted(personas)
+    values = [personas[u].distribution if personas[u].defined else zeros for u in users]
+    with open(path, "w", encoding="utf-8") as fh:
+        lda.write_rows(fh, [[str(u) for u in users]],
+                       np.array(values, dtype=float).reshape(len(users), len(zeros)))
+        fh.write(f"#undefined:{undefined_count(personas)}\n")
 
 
 def load_personas_csv(path) -> dict[int, UserPersona]:

@@ -99,6 +99,39 @@ def naive_persona(ratings, profiles):
     return out
 
 
+def loop_persona(ratings, profiles):
+    """The persona as a per-user loop, bit for bit: ratings is a list of
+    (item, rating) in item order, profiles a dict item -> np.ndarray. The
+    total is the left-to-right sum of the documented ratings, the first
+    weighted row starts the mix and each later one is added to it. Returns
+    (distribution or None, documented item count)."""
+    documented = [(i, r) for i, r in ratings if i in profiles]
+    total = 0.0
+    for _, r in documented:
+        total += r
+    mix = None
+    for i, r in documented:
+        term = (r / total) * profiles[i]
+        mix = term if mix is None else mix + term
+    return mix, len(documented)
+
+
+# ---------- artifact text ----------
+
+def repr_rows_text(rows, header="", trailer=""):
+    """``id,v_0,...,v_{n-1}`` lines, each value written by its own repr."""
+    lines = [f"{row_id}," + ",".join(repr(float(x)) for x in values) + "\n"
+             for row_id, values in rows]
+    return header + "".join(lines) + trailer
+
+
+def repr_phi_text(phi, tokens, header, threshold):
+    """``topic,token,p`` lines for every p > threshold, each p by its own repr."""
+    lines = [f"{t},{tok},{float(p)!r}\n"
+             for t, row in enumerate(phi) for tok, p in zip(tokens, row) if p > threshold]
+    return header + "".join(lines)
+
+
 # ---------- recommenders (the whole pipelines, naively) ----------
 
 def _top_n_neighbors(user, all_users, sim_of, n):

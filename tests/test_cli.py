@@ -5,7 +5,7 @@ import pytest
 
 from dataclasses import fields
 
-from topiccf import lda
+from topiccf import lda, persona
 from topiccf.cli import (
     ALGORITHMS,
     STAGES,
@@ -126,6 +126,20 @@ def test_personas_rows_and_trailer(tiny_inputs, tmp_path, capsys):
     assert lines[-1] == "#undefined:0"
     assert len(lines) == 9  # 8 users + trailer
     assert "8 personas" in capsys.readouterr().out
+
+
+def test_personas_stage_leaves_by_user_unbuilt(tiny_inputs, tmp_path, monkeypatch):
+    # by_user costs ~0.2 s of CPU at MovieLens-1M shape; the persona build reads the columns.
+    ratings, corpus = tiny_inputs
+    args = _base_args(ratings, corpus, tmp_path / "out")
+    built = []
+    build = persona.build_all_personas
+    monkeypatch.setattr(persona, "build_all_personas",
+                        lambda train, profiles: built.append(train) or build(train, profiles))
+    for stage in ("split", "train", "personas"):
+        assert main([stage] + args) == 0
+    assert len(built) == 1
+    assert "by_user" not in built[0].__dict__
 
 
 def test_personas_all_undefined_fails_before_writing(tiny_inputs, tmp_path, capsys):

@@ -12,6 +12,8 @@ from topiccf import lda
 from topiccf.ingest import ConfigurationError, DocumentCorpus
 from topiccf.lda import (
     EncodedCorpus,
+    TopicModel,
+    Vocabulary,
     build_vocabulary,
     corpus_log_likelihood,
     default_stopwords,
@@ -24,6 +26,8 @@ from topiccf.lda import (
     topic_top_words,
     train_lda,
 )
+
+from oracles import repr_phi_text, repr_rows_text
 
 
 # ---------- tokenize ----------
@@ -459,6 +463,44 @@ def test_phi_file_has_header_and_threshold(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# T=2 alpha_sum=")
     assert all(float(l.split(",")[2]) > 1e-6 for l in lines[1:])
+
+
+def _hand_model():
+    """Estimates with repeated values, -0.0 beside 0.0, a scientific repr and a
+    phi value exactly at save_phi's 1e-6 threshold."""
+    tokens = ("alpha", "beta", "gamma", "delta")
+    vocab = Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}, (1, 1, 1, 1))
+    theta = np.array([[0.25, 0.25, 0.5], [0.5, -0.0, 0.5], [1e-16, 0.0, 1.0 - 1e-16],
+                      [0.1, 0.2, 0.7]])
+    phi = np.array([[1e-6, 0.5, 0.5 - 1e-6, 0.0], [0.25, 0.25, 0.25, 0.25],
+                    [1.5e-05, 1e-16, 0.7, 0.3 - 1.5e-05 - 1e-16]])
+    return TopicModel(T=3, alpha_sum=1.5, beta=0.01, phi=phi, theta=theta, assignments=(),
+                      seed=1, vocab=vocab, item_ids=(4, 7, 9, 30))
+
+
+@pytest.mark.parametrize("block", [1, 7, None])  # values per write_rows block; None: default
+def test_theta_file_is_each_value_by_its_own_repr(tmp_path, monkeypatch, block):
+    if block:
+        monkeypatch.setattr(lda, "_BLOCK_CELLS", block)
+    model = _hand_model()
+    path = tmp_path / "theta.csv"
+    save_theta(model, path)
+    assert path.read_text() == repr_rows_text(zip(model.item_ids, model.theta))
+    assert "7,0.5,-0.0,0.5\n" in path.read_text()
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_phi_file_is_each_value_by_its_own_repr(tmp_path, monkeypatch, block):
+    if block:
+        monkeypatch.setattr(lda, "_BLOCK_CELLS", block)
+    model = _hand_model()
+    path = tmp_path / "phi.csv"
+    save_phi(model, path, threshold=1e-6)
+    text = path.read_text()
+    assert text == repr_phi_text(model.phi, model.vocab.tokens,
+                                 "# T=3 alpha_sum=1.5 beta=0.01\n", 1e-6)
+    assert "0,alpha," not in text  # exactly at the threshold: excluded
+    assert "2,alpha,1.5e-05\n" in text
 
 
 def test_topics_file_lists_top_words(tmp_path):

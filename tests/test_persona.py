@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topiccf import lda
 from topiccf.ingest import RatingDataset, RatingRecord
 from topiccf.lda import ItemTopicProfile
 from topiccf.persona import (
+    UserPersona,
     build_all_personas,
     build_persona,
     load_personas_csv,
@@ -13,7 +15,8 @@ from topiccf.persona import (
     write_personas_csv,
 )
 
-from oracles import naive_persona
+from oracles import loop_persona, naive_persona, repr_rows_text
+from synth import random_dataset
 
 
 def _profiles(rows):
@@ -147,3 +150,78 @@ def test_total_is_the_left_to_right_sum_in_item_order():
     want = ((1.1 / total) * profiles[10].distribution + (1.3 / total) * profiles[11].distribution
             + (1.1 / total) * profiles[12].distribution)
     assert p.distribution.tolist() == want.tolist()
+
+
+def _assert_matches_loop(personas, train, raw):
+    by_user = {}
+    for r in train.records:
+        by_user.setdefault(r.user_id, []).append((r.item_id, r.rating))
+    assert sorted(personas) == sorted(by_user)
+    for u, ratings in by_user.items():
+        want, count = loop_persona(ratings, raw)
+        p = personas[u]
+        assert p.documented_item_count == count
+        if want is None:
+            assert not p.defined
+        else:
+            assert p.distribution.tobytes() == want.tobytes()
+            assert not p.distribution.flags.writeable
+        alone = build_persona(u, ratings, _profiles(raw))
+        assert alone.documented_item_count == count
+        assert (alone.distribution is None) == (want is None)
+        if want is not None:
+            assert alone.distribution.tobytes() == want.tobytes()
+
+
+def test_build_all_personas_is_the_per_user_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    raw = {i: rng.dirichlet(np.ones(7)) for i in (2, 4, 8, 9)}  # nobody rates 9
+    raw[5] = np.array([-0.0, 0.25, 0.0, 0.5, 0.125, 0.0625, 0.0625])  # theta.csv may hold -0.0
+    train = RatingDataset([
+        # non-dyadic ratings, undocumented items 3 and 6 between documented ones
+        RatingRecord(1, 2, 1.1), RatingRecord(1, 3, 4.7), RatingRecord(1, 4, 1.3),
+        RatingRecord(1, 5, 1.1), RatingRecord(1, 6, 2.9), RatingRecord(1, 8, 4.3),
+        RatingRecord(2, 3, 5.0), RatingRecord(2, 6, 1.0),  # nothing documented
+        RatingRecord(3, 5, 3.3),                            # one rating
+        RatingRecord(4, 1, 1.7), RatingRecord(4, 2, 1.3), RatingRecord(4, 8, 1.1),
+    ])
+    personas = build_all_personas(train, _profiles(raw))
+    assert [personas[u].documented_item_count for u in (1, 2, 3, 4)] == [4, 0, 1, 2]
+    assert not personas[2].defined
+    assert personas[3].distribution.tobytes() == raw[5].tobytes()
+    _assert_matches_loop(personas, train, raw)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31))
+def test_random_personas_are_the_per_user_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    train = random_dataset(rng, max_users=12, max_items=20,
+                           rating_choices=(1.0, 1.1, 1.3, 2.7, 3.3, 4.9, 5.0))
+    raw = {i: rng.dirichlet(np.ones(4)) for i in range(1, 24) if rng.random() < 0.6}
+    _assert_matches_loop(build_all_personas(train, _profiles(raw)), train, raw)
+
+
+def test_build_all_personas_leaves_by_user_unbuilt():
+    # by_user costs ~0.2 s of CPU at MovieLens-1M shape; the persona build reads the columns.
+    train = RatingDataset([RatingRecord(1, 10, 5.0), RatingRecord(2, 20, 3.0)])
+    build_all_personas(train, _profiles({10: [0.9, 0.1], 20: [0.1, 0.9]}))
+    assert "by_user" not in train.__dict__
+
+
+@pytest.mark.parametrize("block", [1, 9, None])  # values per write_rows block; None: default
+def test_personas_csv_is_each_value_by_its_own_repr(tmp_path, monkeypatch, block):
+    if block:
+        monkeypatch.setattr(lda, "_BLOCK_CELLS", block)
+    personas = {
+        3: UserPersona(3, np.array([0.25, 0.25, 0.5, 0.0])),   # repeated values
+        1: UserPersona(1, np.array([0.5, -0.0, 0.5, 0.0])),    # -0.0 beside 0.0
+        2: UserPersona(2, None, documented_item_count=0),     # all-zero row
+        5: UserPersona(5, np.array([1e-16, 0.1, 0.2, 0.7 - 1e-16])),
+    }
+    path = tmp_path / "personas.csv"
+    write_personas_csv(personas, path)
+    rows = [(u, personas[u].distribution if personas[u].defined else np.zeros(4))
+            for u in sorted(personas)]
+    assert path.read_text() == repr_rows_text(rows, trailer="#undefined:1\n")
+    assert "1,0.5,-0.0,0.5,0.0\n" in path.read_text()
