@@ -23,6 +23,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -39,9 +40,15 @@ PROGRESS_EVERY = 100  # sweeps between on_progress reports
 SUM_TOLERANCE = 1e-6  # how far a stored topic distribution's sum may stray from 1
 
 
+def rows_sum_to_one(block: np.ndarray) -> np.ndarray:
+    """Whether each row of the 2-D block sums to 1 within SUM_TOLERANCE; never
+    for a NaN sum. Each row's sum is numpy's sum of that row alone."""
+    return np.abs(block.sum(axis=1) - 1.0) <= SUM_TOLERANCE
+
+
 def sums_to_one(d: np.ndarray) -> bool:
-    """Whether d sums to 1 within SUM_TOLERANCE; never for a NaN sum."""
-    return bool(abs(d.sum() - 1.0) <= SUM_TOLERANCE)
+    """rows_sum_to_one of the one row d."""
+    return bool(rows_sum_to_one(d.reshape(1, -1))[0])
 
 
 def check_smoothing(alpha_sum: float, beta: float) -> None:
@@ -373,14 +380,56 @@ def read_topic_rows(path, zero_ok: bool = False) -> list[tuple[int, int, np.ndar
     values) per row; '#' lines are skipped and ``id,`` reads as an empty row. A
     non-numeric field, a non-empty row wider or narrower than the first, a negative
     value or a row that does not sum to 1 is a ParseError; with ``zero_ok``, empty
-    and all-zero rows are let through."""
+    and all-zero rows are let through.
+
+    The file is parsed by one np.loadtxt (_topic_columns); where numpy refuses it
+    or a row breaks a rule, the line parser (_topic_lines) reads it and names the
+    first bad line.
+    """
+    lines = [(line_no, line) for line_no, line
+             in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1)
+             if line.strip() and not line.startswith("#")]
+    rows = _topic_columns(lines, zero_ok)
+    return _topic_lines(path, lines, zero_ok) if rows is None else rows
+
+
+def _topic_columns(lines: list[tuple[int, str]], zero_ok: bool):
+    """read_topic_rows of the numbered data lines by one np.loadtxt, ids as int64;
+    None where only _topic_lines can decide.
+
+    It accepts a subset of what _topic_lines accepts, with the same values: numpy
+    rejects ``1_000``, an id beyond int64 and float text as an id, and every row
+    must have the first row's width, at least 1. The values are rows of one
+    read-only block, as _topic_lines' are read-only.
+    """
+    width = lines[0][1].count(",") if lines else 0
+    if not width:
+        return None
+    dtype = [("id", np.int64), ("p", np.float64, (width,))]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1.x warns on float text as an id
+            table = np.loadtxt([line for _, line in lines], dtype=dtype, delimiter=",",
+                               comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    values = np.ascontiguousarray(table["p"])
+    fine = rows_sum_to_one(values) | (zero_ok & ~values.any(axis=1))
+    if len(values) != len(lines) or (values < 0).any() or not fine.all():
+        return None
+    values.flags.writeable = False
+    return list(zip([line_no for line_no, _ in lines], table["id"].tolist(), values))
+
+
+def _topic_lines(path, lines: list[tuple[int, str]], zero_ok: bool):
+    """read_topic_rows of the numbered data lines, line by line: the reference
+    parser, and the one that names a bad line."""
     rows, width = [], 0
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for line_no, line in lines:
         head, _, rest = line.partition(",")
         try:
             dist = np.array([float(x) for x in rest.split(",")] if rest else [])
+            dist.flags.writeable = False
             rows.append((line_no, int(head), dist))
         except ValueError as exc:
             raise ParseError(line_no, f"{path}: {exc}") from None

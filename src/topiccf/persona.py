@@ -8,7 +8,7 @@ documented get an undefined persona.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -23,9 +23,6 @@ class UserPersona:
     user_id: int
     distribution: np.ndarray | None          # None when undefined
     documented_item_count: int | None = None  # None when unknown (e.g. loaded from csv)
-    # similarity's (sums to 1, (floored distribution, its log) if so), filled on first use
-    kl_terms: tuple[bool, tuple[np.ndarray, np.ndarray] | None] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     @property
     def defined(self) -> bool:

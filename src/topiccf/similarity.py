@@ -10,20 +10,26 @@ Each measure also has a batch form that scores one user (or one item)
 against every train user (or item) at once, in ``train.index`` order.
 Every float a batch form gives equals the per-pair function's bit for bit:
 G2 and the LLR score have one definition, over many tables, of which a
-per-pair LLR is the one-table case; Pearson has one, over many candidates,
-of which a per-pair Pearson is the one-candidate case; the hybrid rule has
-one too; the topic row repeats the per-pair KL arithmetic operation for
-operation.
+per-pair LLR is the one-table case; Pearson and the symmetric KL each have
+one, over many candidates, of which the per-pair function is the
+one-candidate case; the hybrid rule has one too.
+
+The symmetric KL is a fixed-order sum over the topics, taken elementwise over
+a T-major block of floored candidate distributions and their logs, which the
+topic row builds once per persona map. Its logs and exps are math.log's and
+math.exp's, and no BLAS call or numpy reduction decides a bit, so a topic
+score does not depend on which kernels numpy picks for the CPU.
 """
 from __future__ import annotations
 
 import math
+import operator
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .ingest import RatingDataset, csr_entries, csr_row
-from .lda import sums_to_one
+from .lda import rows_sum_to_one, sums_to_one
 from .persona import UserPersona
 
 KL_FLOOR = 1e-10
@@ -42,7 +48,7 @@ def symmetric_kl(p: np.ndarray, q: np.ndarray) -> float:
 
     The floor keeps the divergence finite for distributions that picked up
     exact zeros in file round-trips; LDA-smoothed profiles are strictly
-    positive and pass through unchanged.
+    positive and pass through unchanged. _kl_rows of the one candidate q.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -51,23 +57,40 @@ def symmetric_kl(p: np.ndarray, q: np.ndarray) -> float:
     for name, d in (("p", p), ("q", q)):
         if not sums_to_one(d):
             raise ValueError(f"{name} does not sum to 1 (got {d.sum()!r})")
-    return _kl(_floored_log(p), _floored_log(q))
+    f, logs = _floored_log(np.stack([p.ravel(), q.ravel()], axis=1))
+    return float(_kl_rows(f[:, 0], logs[:, 0], f[:, 1:], logs[:, 1:])[0])
 
 
 def _floored_log(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d floored at KL_FLOOR and renormalised, and its log."""
-    f = np.maximum(d, KL_FLOOR)
-    f = f / f.sum()
-    return f, np.log(f)
+    """Floors the columns of the C-contiguous T-major block d (topics x
+    distributions) at KL_FLOOR and renormalises them, in place; returns d and
+    its logs.
 
-
-def _kl(p: tuple[np.ndarray, np.ndarray], q: tuple[np.ndarray, np.ndarray]) -> float:
-    """Symmetric KL of two _floored_log results.
-
-    ``a.dot(b)`` is the C function np.dot(a, b) calls, without its dispatch cost.
+    Each column's total is the left-to-right sum over the topics, one vector
+    add per topic (numpy's own sum adds in an order its SIMD loop picks); the
+    logs are math.log's (np.log's SIMD loops differ by CPU).
     """
-    diff = p[1] - q[1]
-    return float(p[0].dot(diff)) - float(q[0].dot(diff))
+    np.maximum(d, KL_FLOOR, out=d)
+    total = np.zeros(d.shape[1])
+    for row in d:
+        total += row
+    d /= total
+    return d, np.fromiter(map(math.log, d.flat), float, d.size).reshape(d.shape)
+
+
+def _kl_rows(p: np.ndarray, lp: np.ndarray, q: np.ndarray, lq: np.ndarray) -> np.ndarray:
+    """Symmetric KL of the floored distribution p (log lp) to each column of the
+    floored T-major block q (logs lq): sum over t of (p[t] - q[t]) * (lp[t] - lq[t]),
+    left to right from 0.0, for every column at once. A topic at a time, so the
+    vectors stay in cache when there are thousands of columns."""
+    acc = np.zeros(q.shape[1])
+    term, dlog = np.empty_like(acc), np.empty_like(acc)
+    for pt, lpt, qt, lqt in zip(p.tolist(), lp.tolist(), q, lq):
+        np.subtract(pt, qt, out=term)
+        np.subtract(lpt, lqt, out=dlog)
+        term *= dlog
+        acc += term
+    return acc
 
 
 def topic_similarity(u: UserPersona | None, v: UserPersona | None) -> SimilarityScore:
@@ -197,36 +220,79 @@ def item_llr_col(item: int, train: RatingDataset) -> np.ndarray:
     return _llr_rows(k11, ix.item_degree, len(users), train.num_users)
 
 
-def _persona_terms(persona: UserPersona) -> tuple[bool, tuple[np.ndarray, np.ndarray] | None]:
-    """(whether it sums to 1, its _floored_log if so) of a defined persona, kept on it."""
-    if persona.kl_terms is None:
-        d = np.asarray(persona.distribution, dtype=float)
-        ok = sums_to_one(d)
-        persona.kl_terms = (ok, _floored_log(d) if ok else None)
-    return persona.kl_terms
+class _Block(NamedTuple):
+    """The defined candidate personas of a persona map, in index order: their
+    positions, and their floored distributions and logs as T-major blocks;
+    q and lq are None unless every one is a 1-D distribution of one width
+    that sums to 1."""
+
+    pos: np.ndarray
+    q: np.ndarray | None
+    lq: np.ndarray | None
+
+
+# One slot: (train.index, its user ids as a list, the persona of each or None,
+# their _Block). The key holds the objects, so an identity compare cannot match
+# a new object at a recycled address; a persona replaced or deleted since is a miss.
+_block_memo: list = [None, [], [], None]
+
+
+def _t_major(dists: list) -> np.ndarray | None:
+    """The distributions as the columns of one C-contiguous T-major block; None
+    unless each is 1-D, of one width, and sums to 1."""
+    shapes = set(map(np.shape, dists))
+    if len(shapes) != 1 or len(shapes.pop()) != 1:
+        return None
+    rows = np.array(dists, dtype=float)
+    return np.ascontiguousarray(rows.T) if rows_sum_to_one(rows).all() else None
+
+
+def _candidate_block(personas: Mapping[int, UserPersona], train: RatingDataset) -> _Block:
+    """The _Block of train's users in personas, built on the first call for
+    a persona map and kept until another map or another train set comes.
+
+    A distribution changed in place is not seen; the personas topiccf builds
+    or loads hold read-only ones."""
+    ix = train.index
+    memo_ix, ids, memo_cands, block = _block_memo
+    if memo_ix is not ix:
+        ids = ix.user_ids.tolist()
+    cands = list(map(personas.get, ids))
+    if memo_ix is ix and all(map(operator.is_, memo_cands, cands)):
+        return block
+    _block_memo[:] = [None, [], [], None]  # the old block goes before a new one is built
+    pos = [i for i, q in enumerate(cands) if q is not None and q.defined]
+    q = _t_major([cands[i].distribution for i in pos])
+    q, lq = (None, None) if q is None else _floored_log(q)
+    block = _Block(np.array(pos, dtype=np.intp), q, lq)
+    _block_memo[:] = [ix, ids, cands, block]
+    return block
 
 
 def topic_row(user: int, personas: Mapping[int, UserPersona], train: RatingDataset) -> np.ndarray:
     """topic_similarity of user's persona to every train user's, in index order;
     NaN where undefined. Raises the ValueError topic_similarity raises on the
-    first bad pair."""
+    first bad pair.
+
+    The candidates' floored distributions and logs come from one T-major block
+    per persona map (_candidate_block); _kl_rows scores them all at once.
+    """
     ids = train.index.user_ids
     values = np.full(len(ids), np.nan)
     p = personas.get(user)
     if p is None or not p.defined:
         return values
-    pos, qs = [], []
-    for i, v in enumerate(ids.tolist()):
-        q = personas.get(v)
-        if q is not None and q.defined:
-            pos.append(i)
-            qs.append(_persona_terms(q))
-    p_ok, pt = _persona_terms(p)
-    if qs and not (p_ok and all(ok and qt[0].shape == pt[0].shape for ok, qt in qs)):
-        for v in ids.tolist():  # some pair is bad: raise topic_similarity's error for it
-            topic_similarity(p, personas.get(v))
-    # exp and the two dots per pair: np.exp and a matrix product change bits.
-    values[pos] = [math.exp(-_kl(pt, qt)) for _, qt in qs]
+    block = _candidate_block(personas, train)
+    if not len(block.pos):
+        return values
+    d = np.array(p.distribution, dtype=float)
+    if block.q is None or d.shape != block.q.shape[:1] or not sums_to_one(d):
+        # some pair is bad: walk the pairs, raising topic_similarity's first error
+        values[:] = [_value(topic_similarity(p, personas.get(v))) for v in ids.tolist()]
+        return values
+    fp, lp = _floored_log(d.reshape(-1, 1))
+    kl = _kl_rows(fp[:, 0], lp[:, 0], block.q, block.lq)
+    values[block.pos] = np.fromiter(map(math.exp, (-kl).tolist()), float, len(kl))
     return values
 
 

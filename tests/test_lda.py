@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from topiccf import lda
-from topiccf.ingest import ConfigurationError, DocumentCorpus
+from topiccf.ingest import ConfigurationError, DocumentCorpus, ParseError
 from topiccf.lda import (
     EncodedCorpus,
     TopicModel,
@@ -510,3 +510,76 @@ def test_topics_file_lists_top_words(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == model.T
     assert lines[0].startswith("T0\t")
+
+
+# ---------- columnar topic-row reader: the line parser's rows and errors ----------
+
+def _read_both(path, zero_ok, monkeypatch):
+    """(read_topic_rows' rows or ParseError text, the line parser's, whether
+    the columnar reader accepted the file)."""
+    def read():
+        try:
+            return [(n, i, v.tobytes()) for n, i, v in lda.read_topic_rows(path, zero_ok)]
+        except ParseError as exc:
+            return str(exc)
+    lines = [(n, line) for n, line in enumerate(path.read_text().splitlines(), 1)
+             if line.strip() and not line.startswith("#")]
+    columnar = lda._topic_columns(lines, zero_ok) is not None
+    got = read()
+    with monkeypatch.context() as m:
+        m.setattr(lda, "_topic_columns", lambda *args: None)
+        return got, read(), columnar
+
+
+_GOOD_ROWS = [
+    "4,0.25,0.25,0.5\n7,0.5,-0.0,0.5\n9,1e-16,0.0,0.9999999999999999\n",
+    "# header\n\n3,0.1,0.2,0.7\n  \n#undefined:1\n5,0.0,0.0,0.0\n",
+    " 3 , 0.1,0.2 ,0.7\n+5,0.5,0.5,0.0\n007,1.0,0.0,0.0\n",
+    "3,0.3333333333333333,0.3333333333333333,0.3333333333333334\n3,1,0,0\n",
+]
+
+
+@pytest.mark.parametrize("text", _GOOD_ROWS)
+def test_topic_rows_columnar_equal_the_line_parser(tmp_path, monkeypatch, text):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    got, want, columnar = _read_both(path, True, monkeypatch)
+    assert got == want and columnar
+    assert all(isinstance(i, int) for _, i, _ in got)
+
+
+@pytest.mark.parametrize("text,zero_ok", [
+    ("3,0.5,0.5\n4,0.5,abc\n", False),               # non-numeric
+    ("3,0.5,0.5\n4,1.0\n", False),                   # narrower
+    ("3,0.5,0.5\n4,0.5,0.25,0.25\n", False),         # wider
+    ("3,0.5,0.5\n4,1.5,-0.5\n", False),              # negative
+    ("3,0.5,0.5\n4,0.5,0.25\n", False),              # does not sum to 1
+    ("3,0.5,0.5\n4,nan,0.5\n", False),               # NaN
+    ("3,0.5,0.5\n4,0.0,0.0\n", False),               # all zero, not allowed
+    ("3,0.5,0.5\n4,\n", False),                      # empty, not allowed
+    ("3,0.5,0.5\n4.0,0.5,0.5\n", False),             # float text as an id
+    ("3,0.5,0.5\n4,0.5,0.5#x\n", False),             # a '#' inside a row
+    ("3,0.5,0.5\n4,\n5,0.0,0.0\n", True),            # empty and all-zero rows allowed
+    ("4,\n3,0.5,0.5\n", True),                       # the first row empty
+    ("1_000,0.5,0.5\n3,1_0e-1,0.0\n", False),        # only Python reads these
+    ("99999999999999999999,0.5,0.5\n", False),      # an id beyond int64
+    ("", False),
+])
+def test_topic_rows_columnar_errors_and_fallbacks_equal_the_line_parser(
+        tmp_path, monkeypatch, text, zero_ok):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    got, want, columnar = _read_both(path, zero_ok, monkeypatch)
+    assert got == want and not columnar
+
+
+def test_topic_rows_columnar_equal_the_line_parser_at_scale(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    values = rng.dirichlet(np.full(50, 0.3), size=400)
+    values[::37] = 0.0
+    path = tmp_path / "rows.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        lda.write_rows(fh, [[str(i) for i in range(1, 401)]], values)
+    got, want, columnar = _read_both(path, True, monkeypatch)
+    assert got == want and columnar
+    assert not lda.read_topic_rows(path, zero_ok=True)[0][2].flags.writeable

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,7 +435,107 @@ def test_per_pair_llr_and_hybrid_values_are_pinned():
             for j in items:
                 digest.update(item_llr_similarity(i, j, train).value.hex().encode())
     assert digest.hexdigest() == (
-        "cc388663f06010ae9ad01b90a1198b58abf4abc22ebd149cdb893523f5e50405")
+        "2e48a6c2c5a8b38e7d432975e6c85fd21c69fa3225ce88778bd40ca75c3356da")
+
+
+def test_topic_row_scores_a_good_map_without_per_pair_calls(monkeypatch):
+    # Bit for bit the per-pair values, the floored-zero persona's included.
+    for train, personas in _row_instances():
+        users = train.users()
+        want = {u: [topic_similarity(personas.get(u), personas.get(v)) for v in users]
+                for u in users}
+        zero = personas[users[0]].distribution
+        assert (zero == 0.0).any()
+        monkeypatch.setattr(similarity, "topic_similarity", None)  # a call would raise
+        for u in users:
+            row = similarity.topic_row(u, personas, train)
+            assert (~np.isnan(row)).tolist() == [s.defined for s in want[u]]
+            assert row[~np.isnan(row)].tolist() == [s.value for s in want[u] if s.defined]
+        monkeypatch.undo()
+
+
+def _value_or_none(score):
+    return score.value if score.defined else None
+
+
+def test_topic_row_sees_personas_replaced_or_deleted_between_calls():
+    train, personas = next(_row_instances())
+    users = train.users()
+    defined = [u for u in users if u in personas and personas[u].defined]
+    u, v, w = defined[1], defined[2], defined[3]
+
+    def pairwise():
+        return [_value_or_none(topic_similarity(personas.get(u), personas.get(x)))
+                for x in users]
+
+    def row():
+        r = similarity.topic_row(u, personas, train)
+        return [None if math.isnan(x) else x for x in r.tolist()]
+
+    first = row()
+    assert first == pairwise()
+    personas[v] = _persona(v, [0.7, 0.1, 0.1, 0.1])
+    second = row()
+    assert second == pairwise() and second[users.index(v)] != first[users.index(v)]
+    del personas[w]
+    third = row()
+    assert third == pairwise() and third[users.index(w)] is None
+    personas[v] = UserPersona(v, None, documented_item_count=0)
+    assert row() == pairwise() and row()[users.index(v)] is None
+    personas = dict(personas)  # a copy of the map: the same persona objects
+    assert row() == pairwise()
+
+
+_TOPIC_ROW_DIGEST = """
+import hashlib, sys
+import numpy as np
+from topiccf import similarity
+from topiccf.persona import UserPersona
+from synth import random_dataset, random_personas
+
+rng = np.random.default_rng(7)
+train = random_dataset(rng, max_users=60, max_items=80, density=0.2)
+users = train.users()
+personas = random_personas(rng, users, n_topics=50, undefined_fraction=0.1)
+for u in users:
+    if personas[u].defined:
+        personas[u] = UserPersona(u, rng.dirichlet(np.full(50, 0.2)), 1)
+spiky = np.zeros(50)
+spiky[:3] = [0.5, 0.25, 0.25]
+personas[users[0]] = UserPersona(users[0], spiky, 1)
+digest = hashlib.sha256()
+for u in users:
+    digest.update(similarity.topic_row(u, personas, train).tobytes())
+    digest.update(similarity.hybrid_row(u, personas, train).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _numpy_on_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 has no mode argument: its build info is in *_info dicts
+        blas = {k: v for k, v in vars(np.__config__).items() if k.endswith("_info")}
+    return "openblas" in str(blas).lower()
+
+
+@pytest.mark.skipif(not _numpy_on_openblas(), reason="numpy is not linked to OpenBLAS")
+def test_topic_rows_do_not_depend_on_the_openblas_kernel():
+    # OpenBLAS picks a dot-product kernel for the CPU, or the one named by
+    # OPENBLAS_CORETYPE; the kernels add in different orders.
+    import topiccf
+
+    path = os.pathsep.join([str(Path(topiccf.__file__).parents[1]), str(Path(__file__).parent)])
+    digests = set()
+    for coretype in (None, "Haswell", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        done = subprocess.run([sys.executable, "-c", _TOPIC_ROW_DIGEST], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 # ---------- Pearson row: bit-identical to the per-pair function ----------
