@@ -1,10 +1,16 @@
-/* One collapsed Gibbs sweep over a flat token stream; the native twin of
- * topiccf.lda._sweep_python, which is its oracle.
+/* Native loops of topiccf, each the twin of a Python oracle with the same bits.
  *
- * The arithmetic and its order are the Python sweep's, so both give the same
- * bits. Build it without -ffast-math and with -ffp-contract=off: a fused
- * multiply-add in the topic weight would round differently.
+ * topiccf_gibbs_sweep is one collapsed Gibbs sweep over a flat token stream,
+ * the twin of topiccf.lda._sweep_python: the arithmetic and its order are the
+ * Python sweep's. Build it without -ffast-math and with -ffp-contract=off: a
+ * fused multiply-add in the topic weight would round differently.
+ *
+ * topiccf_log and topiccf_exp map libm's log and exp over an array, the twins
+ * of mapping math.log and math.exp, which call the same libm functions. Link
+ * libm after this source; -ffast-math would let the compiler call other
+ * (vector) versions of them.
  */
+#include <math.h>
 #include <stdint.h>
 
 void topiccf_gibbs_sweep(long n, int T, const int32_t *words, const int32_t *doc_of,
@@ -33,4 +39,16 @@ void topiccf_gibbs_sweep(long n, int T, const int32_t *words, const int32_t *doc
         rw[t_new]++;
         n_t[t_new]++;
     }
+}
+
+void topiccf_log(long n, const double *x, double *out)
+{
+    for (long i = 0; i < n; i++)
+        out[i] = log(x[i]);
+}
+
+void topiccf_exp(long n, const double *x, double *out)
+{
+    for (long i = 0; i < n; i++)
+        out[i] = exp(x[i]);
 }

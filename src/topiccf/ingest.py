@@ -122,14 +122,6 @@ class RatingIndex(NamedTuple):
     item_degree: np.ndarray
 
 
-def _csr(rows: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row pointers, order) of the entries of ``rows``: ``order`` lists their
-    positions stably grouped by row, row r's group being order[ptr[r]:ptr[r + 1]]."""
-    ptr = np.zeros(n_rows + 1, dtype=np.int32)
-    ptr[1:] = np.cumsum(np.bincount(rows, minlength=n_rows))
-    return ptr, np.argsort(rows, kind="stable")
-
-
 def csr_row(ptr: np.ndarray, ids: np.ndarray, id_: int) -> slice:
     """The slice of a CSR column array holding the row of the entity with id
     ``id_``; empty when it is not in ``ids``."""
@@ -154,8 +146,8 @@ class RatingDataset:
     pair replaced. Everything else is derived from the columns on first use and kept:
     ``user_runs`` serves the split and the persona build; ``records`` and
     ``by_user`` (users ascending, to (item_id, rating) tuples in item order)
-    serve evaluate and the tests; the item-set and user-set views serve the
-    per-pair LLR measures; ``index`` serves the batch rows and per-pair Pearson.
+    serve evaluate and the tests; ``index`` serves the batch rows and the
+    per-pair measures.
     """
 
     def __init__(self, ratings: Iterable[RatingRecord] | RatingColumns = ()):
@@ -179,7 +171,9 @@ class RatingDataset:
 
     @cached_property
     def _item_ids(self) -> np.ndarray:
-        return np.unique(self.columns.item)
+        """The ascending item ids: the index's once it is built, else np.unique's,
+        so that counting the items builds no index."""
+        return self.index.item_ids if "index" in self.__dict__ else np.unique(self.columns.item)
 
     @cached_property
     def by_user(self) -> dict[int, tuple[tuple[int, float], ...]]:
@@ -187,21 +181,6 @@ class RatingDataset:
         ptr = ptr.tolist()
         pairs = list(zip(self.columns.item.tolist(), self.columns.rating.tolist()))
         return {u: tuple(pairs[s:e]) for u, s, e in zip(user_ids.tolist(), ptr, ptr[1:])}
-
-    @cached_property
-    def _items_of(self) -> dict[int, frozenset[int]]:
-        """Each user's item set, for the per-pair LLR."""
-        user_ids, ptr = self.user_runs
-        ptr = ptr.tolist()
-        items = self.columns.item.tolist()
-        return {u: frozenset(items[s:e]) for u, s, e in zip(user_ids.tolist(), ptr, ptr[1:])}
-
-    @cached_property
-    def _raters(self) -> dict[int, frozenset[int]]:
-        ix = self.index
-        users = ix.user_ids[ix.item_users].tolist()
-        ptr = ix.item_ptr.tolist()
-        return {i: frozenset(users[s:e]) for i, s, e in zip(ix.item_ids.tolist(), ptr, ptr[1:])}
 
     @cached_property
     def records(self) -> tuple[RatingRecord, ...]:
@@ -220,10 +199,14 @@ class RatingDataset:
         return len(self._item_ids)
 
     def user_items(self, user_id: int) -> frozenset[int]:
-        return self._items_of.get(user_id, frozenset())
+        ix = self.index
+        items = ix.user_items[csr_row(ix.user_ptr, ix.user_ids, user_id)]
+        return frozenset(ix.item_ids[items].tolist())
 
     def item_users(self, item_id: int) -> frozenset[int]:
-        return self._raters.get(item_id, frozenset())
+        ix = self.index
+        users = ix.item_users[csr_row(ix.item_ptr, ix.item_ids, item_id)]
+        return frozenset(ix.user_ids[users].tolist())
 
     def users(self) -> list[int]:
         return self.user_runs[0].tolist()
@@ -236,16 +219,26 @@ class RatingDataset:
 
     @cached_property
     def index(self) -> RatingIndex:
-        """The ratings as user->item and item->user CSR arrays, built on first use."""
+        """The ratings as user->item and item->user CSR arrays, built on first use.
+
+        One stable argsort of the item ids groups the ratings by item, users
+        ascending within an item (the rows are in user order); an item's
+        position is the count of distinct ids up to its run.
+        """
         user_ids, rows = self.user_runs
-        item_ids = self._item_ids
-        items = np.searchsorted(item_ids, self.columns.item)
-        users = np.repeat(np.arange(len(user_ids)), np.diff(rows))
+        item = self.columns.item
+        order = np.argsort(item, kind="stable")
+        grouped = item[order]
+        new = np.ones(len(item), dtype=bool)
+        new[1:] = grouped[1:] != grouped[:-1]
+        starts = np.flatnonzero(new)
+        items = np.empty(len(item), dtype=np.int32)
+        items[order] = np.cumsum(new) - 1
+        users = np.repeat(np.arange(len(user_ids), dtype=np.int32), np.diff(rows))
         user_ptr = rows.astype(np.int32)
-        item_ptr, order = _csr(items, len(item_ids))
-        return RatingIndex(user_ids, item_ids, user_ptr, items.astype(np.int32), item_ptr,
-                           users[order].astype(np.int32), self.columns.rating[order],
-                           np.diff(user_ptr), np.diff(item_ptr))
+        item_ptr = np.append(starts, len(item)).astype(np.int32)
+        return RatingIndex(user_ids, grouped[starts], user_ptr, items, item_ptr, users[order],
+                           self.columns.rating[order], np.diff(user_ptr), np.diff(item_ptr))
 
     def __len__(self) -> int:
         return len(self.columns.user)

@@ -13,7 +13,8 @@ After the final sweep the point estimates are
 
 Everything is deterministic given (corpus, T, alpha_sum, beta, iterations, seed).
 A sweep runs in the C kernel _kernels.c where a compiler can build it
-(gibbs_kernel), else in _sweep_python; both give the same bits.
+(gibbs_kernel), else in _sweep_python; both give the same bits. The same
+library holds the log and exp loops of the similarity rows (log_exp_kernels).
 """
 from __future__ import annotations
 
@@ -243,8 +244,10 @@ def _sweep_python(n, T, words, doc_of, z, n_dt, n_wt, n_t, u, alpha, beta, vbeta
     z[:], n_dt[:], n_wt[:], n_t[:], cum[:] = zs, dt, wt, nt, cs
 
 
-# No -ffast-math and no FMA contraction: either would round differently from _sweep_python.
+# No -ffast-math and no FMA contraction: either would round differently from the
+# Python twins of the native loops. libm goes after the source, so log and exp resolve to it.
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_KERNEL_LIBS = ("-lm",)
 _COMPILER = "cc"
 
 
@@ -265,22 +268,22 @@ def _compile_kernel(cache: Path) -> Path:
     import subprocess
 
     source = resources.files("topiccf").joinpath("_kernels.c").read_bytes()
-    key = hashlib.sha256(source + "\0".join(_KERNEL_FLAGS).encode()).hexdigest()
+    key = hashlib.sha256(source + "\0".join(_KERNEL_FLAGS + _KERNEL_LIBS).encode()).hexdigest()
     so = cache / f"_kernels-{key[:16]}.so"
     if not so.exists():
         tmp = cache / f"{so.name}.{os.getpid()}.tmp"
         try:
-            subprocess.run([_COMPILER, *_KERNEL_FLAGS, "-x", "c", "-", "-o", str(tmp)],
-                           input=source, capture_output=True, check=True, timeout=120)
+            subprocess.run([_COMPILER, *_KERNEL_FLAGS, "-x", "c", "-", "-o", str(tmp),
+                            *_KERNEL_LIBS], input=source, capture_output=True, check=True,
+                           timeout=120)
             os.replace(tmp, so)
         finally:
             tmp.unlink(missing_ok=True)
     return so
 
 
-@functools.cache
-def gibbs_kernel() -> tuple[Callable | None, str]:
-    """The Gibbs sweep train_lda runs: (the compiled kernel, "native (<.so path>)"), or
+def load_kernels():
+    """_kernels.c as a loaded library: (the ctypes.CDLL, "native (<.so path>)"), or
     (None, "python (<why not>)") when it cannot be compiled or loaded.
 
     Compiled on first use into ~/.cache/topiccf, or into a temporary directory
@@ -297,12 +300,24 @@ def gibbs_kernel() -> tuple[Callable | None, str]:
     try:
         with where as cache:
             so = _compile_kernel(Path(cache))
-            fn = ctypes.CDLL(str(so)).topiccf_gibbs_sweep
+            return ctypes.CDLL(str(so)), f"native ({so})"
     except subprocess.CalledProcessError as exc:
         why = exc.stderr.decode(errors="replace").strip().splitlines()[-1:]
         return None, f"python ({_COMPILER} exited {exc.returncode}: {' '.join(why)})"
     except (OSError, subprocess.SubprocessError) as exc:
         return None, f"python ({exc})"
+
+
+@functools.cache
+def gibbs_kernel() -> tuple[Callable | None, str]:
+    """The Gibbs sweep train_lda runs: (the compiled kernel, "native (<.so path>)"), or
+    (None, "python (<why not>)") when load_kernels cannot give it."""
+    import ctypes
+
+    lib, how = load_kernels()
+    if lib is None:
+        return None, how
+    fn = lib.topiccf_gibbs_sweep
     i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
     i32_out = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS,WRITEABLE")
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
@@ -310,7 +325,25 @@ def gibbs_kernel() -> tuple[Callable | None, str]:
     fn.argtypes = [ctypes.c_long, ctypes.c_int, i32, i32, i32_out, i32_out, i32_out, i32_out,
                    f64, ctypes.c_double, ctypes.c_double, ctypes.c_double, f64_out]
     fn.restype = None
-    return fn, f"native ({so})"
+    return fn, how
+
+
+@functools.cache
+def log_exp_kernels() -> tuple[tuple[Callable, Callable] | None, str]:
+    """libm's log and exp mapped over arrays, as similarity takes them: ((log, exp), "native
+    (<.so path>)"), each called as fn(n, x, out); or (None, "python (<why not>)") when
+    load_kernels cannot give them."""
+    import ctypes
+
+    lib, how = load_kernels()
+    if lib is None:
+        return None, how
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    f64_out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    loops = lib.topiccf_log, lib.topiccf_exp
+    for fn in loops:
+        fn.argtypes, fn.restype = [ctypes.c_long, f64, f64_out], None
+    return loops, how
 
 
 def _estimates(n_dt, n_wt, docs, alpha, alpha_sum, beta, vbeta):

@@ -16,9 +16,15 @@ one-candidate case; the hybrid rule has one too.
 
 The symmetric KL is a fixed-order sum over the topics, taken elementwise over
 a T-major block of floored candidate distributions and their logs, which the
-topic row builds once per persona map. Its logs and exps are math.log's and
-math.exp's, and no BLAS call or numpy reduction decides a bit, so a topic
-score does not depend on which kernels numpy picks for the CPU.
+topic row builds once per persona map. No BLAS call or numpy reduction decides
+a bit, so a topic score does not depend on which kernels numpy picks for the
+CPU.
+
+Every log and exp, of G2 and of the topic term, is libm's log or exp, the
+functions math.log and math.exp call: _log and _exp map them over an array in
+one native loop (lda.log_exp_kernels), or through math.log and math.exp where
+no compiler can build it; both give the same bits. np.log and np.exp are not
+used, because their SIMD loops differ from libm in the last bit.
 """
 from __future__ import annotations
 
@@ -28,6 +34,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from . import lda
 from .ingest import RatingDataset, csr_entries, csr_row
 from .lda import rows_sum_to_one, sums_to_one
 from .persona import UserPersona
@@ -68,14 +75,37 @@ def _floored_log(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each column's total is the left-to-right sum over the topics, one vector
     add per topic (numpy's own sum adds in an order its SIMD loop picks); the
-    logs are math.log's (np.log's SIMD loops differ by CPU).
+    logs are _log's, of values > 0.
     """
     np.maximum(d, KL_FLOOR, out=d)
     total = np.zeros(d.shape[1])
     for row in d:
         total += row
     d /= total
-    return d, np.fromiter(map(math.log, d.flat), float, d.size).reshape(d.shape)
+    return d, _log(d)
+
+
+def _libm(x: np.ndarray, which: int, scalar) -> np.ndarray:
+    """scalar(v) for each value v of x, in x's shape; scalar is math.log (which = 0)
+    or math.exp (1). The native loop over the same libm function does it where
+    it loads, else it is mapped value by value."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    loops = lda.log_exp_kernels()[0]
+    if loops is None:
+        return np.fromiter(map(scalar, x.flat), float, x.size).reshape(x.shape)
+    out = np.empty_like(x)
+    loops[which](x.size, x, out)
+    return out
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """math.log of each value of x, all > 0 (math.log raises where C's log does not)."""
+    return _libm(x, 0, math.log)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of each value of x, all finite."""
+    return _libm(x, 1, math.exp)
 
 
 def _kl_rows(p: np.ndarray, lp: np.ndarray, q: np.ndarray, lq: np.ndarray) -> np.ndarray:
@@ -150,9 +180,12 @@ def pearson_row(user: int, train: RatingDataset) -> np.ndarray:
     return _pearson_rows(x, ix.item_ratings[entries], ix.item_users[entries], len(ix.user_ids))
 
 
-def _llr(a: frozenset[int], b: frozenset[int], universe: int) -> SimilarityScore:
-    """_llr_rows of the one table of a and b."""
-    return SimilarityScore(float(_llr_rows(np.array([len(a & b)]), len(a), len(b), universe)[0]))
+def _llr(ptr: np.ndarray, ids: np.ndarray, cols: np.ndarray, a: int, b: int,
+         universe: int) -> SimilarityScore:
+    """_llr_rows of the one table of the CSR rows of ids a and b."""
+    ra, rb = cols[csr_row(ptr, ids, a)], cols[csr_row(ptr, ids, b)]
+    k11 = np.intersect1d(ra, rb, assume_unique=True).size
+    return SimilarityScore(float(_llr_rows(np.array([k11]), len(ra), len(rb), universe)[0]))
 
 
 def llr_similarity(u: int, v: int, train: RatingDataset) -> SimilarityScore:
@@ -161,12 +194,14 @@ def llr_similarity(u: int, v: int, train: RatingDataset) -> SimilarityScore:
     The table counts co-rated items, each user's exclusive items, and the rest
     of the item universe. Always defined; independence gives exactly 0.
     """
-    return _llr(train.user_items(u), train.user_items(v), train.num_items)
+    ix = train.index
+    return _llr(ix.user_ptr, ix.user_ids, ix.user_items, u, v, train.num_items)
 
 
 def item_llr_similarity(i: int, j: int, train: RatingDataset) -> SimilarityScore:
     """llr_similarity with the roles of users and items swapped."""
-    return _llr(train.item_users(i), train.item_users(j), train.num_users)
+    ix = train.index
+    return _llr(ix.item_ptr, ix.item_ids, ix.item_users, i, j, train.num_users)
 
 
 def _g2_rows(k11: np.ndarray, k12: np.ndarray, k21: np.ndarray, k22: np.ndarray) -> np.ndarray:
@@ -174,9 +209,8 @@ def _g2_rows(k11: np.ndarray, k12: np.ndarray, k21: np.ndarray, k22: np.ndarray)
     clamped at 0 against float cancellation.
 
     The four cells are added in a fixed order; a cell with k = 0 adds +0.0.
-    The logs are math.log's, taken once per distinct argument: np.log differs
-    from it in the last bit on some arguments. Exact while every k*N and
-    r*c < 2**53.
+    The logs are _log's, all 4 x n of them in one call; every argument is > 0
+    (1.0 where k = 0). Exact while every k*N and r*c < 2**53.
     """
     n = k11 + k12 + k21 + k22
     r1, r2 = k11 + k12, k21 + k22
@@ -184,9 +218,7 @@ def _g2_rows(k11: np.ndarray, k12: np.ndarray, k21: np.ndarray, k22: np.ndarray)
     k = np.stack([k11, k12, k21, k22])
     arg = np.ones(k.shape)
     np.divide(k * n, np.stack([r1 * c1, r1 * c2, r2 * c1, r2 * c2]), out=arg, where=k > 0)
-    distinct, inverse = np.unique(arg.ravel(), return_inverse=True)
-    logs = np.array(list(map(math.log, distinct.tolist())))
-    terms = k * logs[inverse].reshape(k.shape)
+    terms = k * _log(arg)
     g2 = 2.0 * (0.0 + terms[0] + terms[1] + terms[2] + terms[3])
     return np.where(g2 > 0.0, g2, 0.0)
 
@@ -292,7 +324,7 @@ def topic_row(user: int, personas: Mapping[int, UserPersona], train: RatingDatas
         return values
     fp, lp = _floored_log(d.reshape(-1, 1))
     kl = _kl_rows(fp[:, 0], lp[:, 0], block.q, block.lq)
-    values[block.pos] = np.fromiter(map(math.exp, (-kl).tolist()), float, len(kl))
+    values[block.pos] = _exp(-kl)
     return values
 
 

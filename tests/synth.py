@@ -31,3 +31,19 @@ def random_personas(rng, users, n_topics=3, undefined_fraction=0.0):
                 u, rng.dirichlet(np.ones(n_topics)), documented_item_count=1
             )
     return personas
+
+
+def desk_instance(seed=1, n_users=120, n_items=640, n_topics=50, density=0.05):
+    """A desk-scale train set (users 1..n_users, about ``density`` of the items
+    each, every user at least one) and 50-topic Dirichlet personas for it, a
+    tenth of them undefined and the last user's missing."""
+    rng = np.random.default_rng(seed)
+    rated = rng.random((n_users, n_items)) < density
+    rated[np.arange(n_users), rng.integers(0, n_items, n_users)] = True
+    users, items = np.nonzero(rated)
+    ratings = rng.integers(1, 6, len(users)).astype(float)
+    train = RatingDataset(map(RatingRecord, (users + 1).tolist(), (items + 1).tolist(),
+                              ratings.tolist()))
+    personas = random_personas(rng, train.users(), n_topics=n_topics, undefined_fraction=0.1)
+    del personas[n_users]
+    return train, personas

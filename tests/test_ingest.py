@@ -102,6 +102,61 @@ def test_index_consistency():
     assert ds.num_items == 3
 
 
+def _index_by_unique(ds):
+    """RatingDataset.index as it was derived before the one-sort build: items
+    numbered by np.unique + np.searchsorted, grouped by a stable argsort of those."""
+    user_ids, rows = ds.user_runs
+    item_ids = np.unique(ds.columns.item)
+    items = np.searchsorted(item_ids, ds.columns.item)
+    users = np.repeat(np.arange(len(user_ids)), np.diff(rows))
+    user_ptr = rows.astype(np.int32)
+    item_ptr = np.zeros(len(item_ids) + 1, dtype=np.int32)
+    item_ptr[1:] = np.cumsum(np.bincount(items, minlength=len(item_ids)))
+    order = np.argsort(items, kind="stable")
+    return ingest.RatingIndex(user_ids, item_ids, user_ptr, items.astype(np.int32), item_ptr,
+                              users[order].astype(np.int32), ds.columns.rating[order],
+                              np.diff(user_ptr), np.diff(item_ptr))
+
+
+def _index_cases():
+    big = 2**40 + 7
+    rng = np.random.default_rng(5)
+    yield "signed-and-big-ids", [RatingRecord(u, i, r) for u, i, r in [
+        (3, -5, 1.0), (3, 0, 2.0), (3, big, 3.0), (-2, big, 4.0), (-2, -5, 5.0), (0, 0, 1.5),
+        (0, big + 1, 2.5), (0, -(2**41), 3.5)]]
+    yield "dropped-duplicates", [RatingRecord(u, i, r) for u, i, r in [
+        (2, 9, 1.0), (1, 9, 2.0), (2, 9, 3.0), (2, 4, 4.0), (1, 4, 5.0), (1, 9, 4.0)]]
+    yield "one-item", [RatingRecord(u, 77, float(u % 5 + 1)) for u in (5, 1, 3, 2)]
+    yield "one-user", [RatingRecord(8, i, 3.0) for i in (big, -1, 0, 12)]
+    yield "random", [RatingRecord(int(u), int(i), float(r)) for u, i, r in zip(
+        rng.integers(-50, 50, 400), rng.integers(-2**45, 2**45, 400) // 2**40 * 2**40 + 3,
+        rng.integers(1, 6, 400))]
+    yield "empty", []
+
+
+@pytest.mark.parametrize("case", [name for name, _ in _index_cases()])
+def test_index_equals_the_unique_and_searchsorted_derivation(case):
+    records = dict(_index_cases())[case]
+    ds = RatingDataset(records)
+    if case == "dropped-duplicates":
+        assert ds.duplicates_dropped == 2
+    for got, want, field in zip(ds.index, _index_by_unique(RatingDataset(records)),
+                                ingest.RatingIndex._fields):
+        assert got.dtype == want.dtype, field
+        assert np.array_equal(got, want), field
+
+
+def test_item_ids_agree_with_the_index_whichever_is_read_first():
+    records = dict(_index_cases())["signed-and-big-ids"]
+    counted, indexed = RatingDataset(records), RatingDataset(records)
+    dataset_summary(counted)
+    assert "index" not in counted.__dict__  # counting the items builds no index
+    indexed.index
+    for ds in (counted, indexed):
+        assert ds.items() == ds.index.item_ids.tolist() == sorted({r.item_id for r in records})
+        assert ds.num_items == len(ds.index.item_ids)
+
+
 def test_load_corpus_directory(tmp_path):
     (tmp_path / "527.txt").write_text("Oskar Schindler saves...", encoding="utf-8")
     (tmp_path / "notes.txt").write_text("not an item", encoding="utf-8")

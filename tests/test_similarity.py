@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topiccf.ingest import RatingDataset, RatingRecord
-from topiccf import similarity
+from topiccf import lda, similarity
 from topiccf.persona import UserPersona
 from topiccf.similarity import (
     hybrid_similarity,
@@ -23,7 +23,7 @@ from topiccf.similarity import (
 )
 
 from oracles import naive_hybrid, naive_llr, naive_pearson, naive_symmetric_kl
-from synth import random_dataset, random_personas
+from synth import desk_instance, random_dataset, random_personas
 
 # Frozen oracle values (scipy.stats.entropy / scipy.stats.pearsonr / entropy-form G2)
 SYM_KL_HALF_QUARTER = 0.2746530721670274
@@ -536,6 +536,67 @@ def test_topic_rows_do_not_depend_on_the_openblas_kernel():
                               capture_output=True, text=True, timeout=120)
         digests.add(done.stdout.strip())
     assert len(digests) == 1
+
+
+# ---------- native log and exp: bit-identical to math.log and math.exp ----------
+
+def _native_loops():
+    loops, how = lda.log_exp_kernels()
+    if loops is None:
+        pytest.skip(how)
+    return loops
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _mapped(native, x):
+    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    out = np.empty_like(x)
+    native(x.size, x, out)
+    return out
+
+
+def test_native_log_equals_math_log_bit_for_bit():
+    log = _native_loops()[0]
+    rng = np.random.default_rng(17)
+    one = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    edges = [5e-324, np.finfo(float).tiny, similarity.KL_FLOOR, *one, 1e308]
+    block = rng.dirichlet(np.full(50, 0.05), 200).T.copy()  # T-major, with values below the floor
+    np.maximum(block, similarity.KL_FLOOR, out=block)
+    block /= block.sum(axis=0)
+    log_uniform = np.exp(rng.uniform(math.log(5e-324), math.log(1e308), 100_000))
+    for x in (edges, block, log_uniform):
+        x = np.ravel(x)
+        assert (_bits(_mapped(log, x)) == _bits(list(map(math.log, x.tolist())))).all()
+
+
+def test_native_exp_equals_math_exp_bit_for_bit():
+    exp = _native_loops()[1]
+    x = np.concatenate([[0.0, -0.0, -1e-300, -708.4, -745.1, -746.0],
+                        np.linspace(-5.0, 0.0, 100_001)])
+    assert (_bits(_mapped(exp, x)) == _bits(list(map(math.exp, x.tolist())))).all()
+
+
+def test_rows_on_the_math_fallback_equal_the_native_rows(monkeypatch):
+    _native_loops()
+    train, personas = desk_instance()
+    users, items = train.users(), train.items()
+
+    def rows():
+        similarity._block_memo[:] = [None, [], [], None]  # the topic block is built anew
+        return [_bits(f(u, personas, train)) for f in (similarity.topic_row,
+                                                       similarity.hybrid_row) for u in users] + [
+            _bits(similarity.llr_row(u, train)) for u in users] + [
+            _bits(similarity.item_llr_col(i, train)) for i in items]
+
+    native = rows()
+    monkeypatch.setattr(lda, "log_exp_kernels", lambda: (None, "python (test)"))
+    fallback = rows()
+    assert len(native) == len(fallback) == 3 * len(users) + len(items)
+    for got, want in zip(fallback, native):
+        assert (got == want).all()  # NaN positions included: their bits are equal too
 
 
 # ---------- Pearson row: bit-identical to the per-pair function ----------
