@@ -334,7 +334,8 @@ def _parse_columns(text: str, fmt: str) -> RatingColumns | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy 1.x warns where 2.x raises
-            rows = np.loadtxt(io.StringIO(text), dtype=_FIELDS[:width], delimiter=",",
+            # As bytes: a StringIO of the text takes several bytes per character.
+            rows = np.loadtxt(io.BytesIO(text.encode()), dtype=_FIELDS[:width], delimiter=",",
                               comments=None, ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None

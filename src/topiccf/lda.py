@@ -282,9 +282,10 @@ def _compile_kernel(cache: Path) -> Path:
     return so
 
 
+@functools.cache
 def load_kernels():
     """_kernels.c as a loaded library: (the ctypes.CDLL, "native (<.so path>)"), or
-    (None, "python (<why not>)") when it cannot be compiled or loaded.
+    (None, "python (<why not>)") when it cannot be compiled or loaded. Once per process.
 
     Compiled on first use into ~/.cache/topiccf, or into a temporary directory
     when there is no home directory or that is not a directory only this user can write.

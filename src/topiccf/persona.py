@@ -33,13 +33,13 @@ def _personas(user_ids: np.ndarray, rows: np.ndarray, items: np.ndarray, ratings
               profiles: Mapping[int, ItemTopicProfile]) -> dict[int, UserPersona]:
     """The persona of each of the ascending ``user_ids``: rating j is user
     ``user_ids[rows[j]]``'s rating ``ratings[j]`` of item ``items[j]``, with
-    ``rows`` ascending and each user's ratings in the order they are added.
+    each user's ratings in the order they are added.
 
     A user's total is the left-to-right sum of their documented ratings, and
-    their mix adds (r / total) * theta row in the same order. Each step is one
-    vector operation over every user's k-th documented rating at once, so the
-    bits are those of the per-user loop. The distributions are rows of one
-    read-only (users x T) block.
+    their mix adds (r / total) * theta row in the same order: np.bincount and
+    np.add.at add in input order, and the mix starts from -0.0, which gives
+    back each first term as it is, so the bits are those of the per-user loop.
+    The distributions are rows of one read-only (users x T) block.
     """
     profiled = np.array(sorted(profiles), dtype=np.int64)
     block = (np.array([profiles[i].distribution for i in profiled.tolist()], dtype=float)
@@ -49,19 +49,11 @@ def _personas(user_ids: np.ndarray, rows: np.ndarray, items: np.ndarray, ratings
     documented[documented] = profiled[pos[documented]] == items[documented]
     rows, pos, ratings = rows[documented], pos[documented], ratings[documented]
     count = np.bincount(rows, minlength=len(user_ids))
-    rank = np.arange(len(rows)) - (np.cumsum(count) - count)[rows]
-    by_rank = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
-    total = np.zeros(len(user_ids))
-    for at in by_rank:  # left to right: Python 3.12's sum() is compensated
-        total[rows[at]] += ratings[at]
-    weight = ratings / total[rows]
-    mix = np.zeros((len(user_ids), block.shape[1]))
-    for k, at in enumerate(by_rank):
-        term = weight[at, None] * block[pos[at]]
-        if k:
-            mix[rows[at]] += term
-        else:
-            mix[rows[at]] = term
+    weight = ratings / np.bincount(rows, ratings, minlength=len(user_ids))[rows]
+    acc = np.full((block.shape[1], len(user_ids)), -0.0)
+    for acc_t, topic in zip(acc, block.T):
+        np.add.at(acc_t, rows, weight * topic[pos])
+    mix = np.ascontiguousarray(acc.T)
     mix.flags.writeable = False
     return {u: UserPersona(u, mix[j] if n else None, documented_item_count=n)
             for j, (u, n) in enumerate(zip(user_ids.tolist(), count.tolist()))}

@@ -411,6 +411,39 @@ def test_line_parser_takes_what_numpy_does_not(text, fmt, records, tmp_path):
     _assert_same_as_line_parser(text, fmt, tmp_path)
 
 
+def _generated(fmt, rows=50_000, seed=3):
+    """rows random ratings, some (user, item) pairs repeated, as one file's text."""
+    rng = np.random.default_rng(seed)
+    fields = (rng.integers(1, 2000, rows), rng.integers(1, 4000, rows),
+              rng.choice(["1", "2.5", "3.0", "4", "4.5", "5.0"], rows),
+              rng.integers(956703932, 1046454590, rows))
+    sep = "::" if fmt == "movielens_dat" else ","
+    return "".join(f"{u}{sep}{i}{sep}{r}{sep}{t}\n" for u, i, r, t in zip(*fields))
+
+
+@pytest.mark.parametrize("text,fmt", [
+    ("1::10::5::978300760\n2::10::3::978300761\n1::10::4::978300762\n", "movielens_dat"),
+    ("1,10,5.0\n2,10,3\n1,10,4.5\n", "csv"),
+    ("generated", "movielens_dat"),
+    ("generated", "csv"),
+])
+def test_every_kind_of_source_gives_the_same_columns(text, fmt, tmp_path):
+    if text == "generated":
+        text = _generated(fmt)
+        assert ingest._parse_columns(text, fmt) is not None  # numpy reads it at size
+    path = tmp_path / "ratings.txt"
+    path.write_bytes(text.encode("utf-8"))
+    want = ingest._parse_lines(text, fmt)
+    assert want.duplicates_dropped > 0
+    for source in (path, io.StringIO(text), io.BytesIO(text.encode("utf-8")),
+                   io.StringIO(text.replace("\n", "\r\n"))):
+        got = parse_ratings(source, fmt)
+        assert got.duplicates_dropped == want.duplicates_dropped
+        for col, expected in zip(got.columns, want.columns):
+            assert col.dtype == expected.dtype
+            assert col.tobytes() == expected.tobytes()
+
+
 def test_mixed_timestamp_csv_writes_back_byte_identical(tmp_path):
     text = ("-3,7,4.0,10\n0,0,2.0,0\n1,1,5.0,99\n1,2,4.5\n2,1,3.0,-7\n"
             "2,4,1.0000000000000002\n9223372036854775807,1,1.5,-9223372036854775808\n")

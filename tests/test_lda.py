@@ -318,16 +318,21 @@ def test_native_topic_weights_are_bit_identical_token_by_token():
         assert np.array_equal(native_part, python_part)
 
 
+def _clear_kernel_caches():
+    for loader in (lda.load_kernels, lda.gibbs_kernel, lda.log_exp_kernels):
+        loader.cache_clear()
+
+
 def _fresh_kernel(monkeypatch, home, compiler=None):
     """gibbs_kernel() as a process with this home directory and compiler would load it."""
     monkeypatch.setenv("HOME", str(home))
     if compiler is not None:
         monkeypatch.setattr(lda, "_COMPILER", compiler)
-    lda.gibbs_kernel.cache_clear()
+    _clear_kernel_caches()
     try:
         return lda.gibbs_kernel()
     finally:
-        lda.gibbs_kernel.cache_clear()
+        _clear_kernel_caches()
 
 
 def test_missing_compiler_falls_back_to_the_same_model(tmp_path, monkeypatch):
@@ -350,6 +355,31 @@ def test_kernel_is_compiled_once_into_a_private_cache(tmp_path, monkeypatch):
     assert how == f"native ({next(cache.iterdir())})" and len(list(cache.iterdir())) == 1
     # The cached library is loaded again without a compiler.
     assert _fresh_kernel(monkeypatch, tmp_path, compiler="topiccf-no-such-cc")[1] == how
+
+
+def test_sweep_and_loops_share_one_compile_and_one_load(tmp_path, monkeypatch):
+    import ctypes
+
+    calls = {"compile": 0, "load": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setattr(lda, "_compile_kernel", counted("compile", lda._compile_kernel))
+    monkeypatch.setattr(ctypes, "CDLL", counted("load", ctypes.CDLL))
+    _clear_kernel_caches()
+    try:
+        (kernel, how), (loops, loops_how) = lda.gibbs_kernel(), lda.log_exp_kernels()
+    finally:
+        _clear_kernel_caches()
+    if kernel is None:
+        pytest.skip(how)
+    assert loops is not None and loops_how == how
+    assert calls == {"compile": 1, "load": 1}
 
 
 @pytest.mark.parametrize("home", ["shared", "absent"])

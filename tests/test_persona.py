@@ -192,6 +192,22 @@ def test_build_all_personas_is_the_per_user_loop_bit_for_bit():
     _assert_matches_loop(personas, train, raw)
 
 
+def test_a_topic_of_negative_zeros_keeps_its_sign_and_a_later_term_replaces_it():
+    raw = {5: np.array([-0.0, 0.5, 0.5]), 7: np.array([-0.0, 0.25, 0.75]),
+           8: np.array([0.375, 0.0, 0.625]), 9: np.array([0.0, 0.125, 0.875])}
+    train = RatingDataset([
+        RatingRecord(1, 5, 1.1), RatingRecord(1, 6, 4.0), RatingRecord(1, 7, 2.3),  # all -0.0
+        RatingRecord(2, 5, 3.3), RatingRecord(2, 8, 1.3),  # -0.0, then positive
+        RatingRecord(3, 5, 2.0), RatingRecord(3, 9, 4.0),  # -0.0, then 0.0
+    ])
+    personas = build_all_personas(train, _profiles(raw))
+    assert personas[1].documented_item_count == 2
+    assert str(personas[1].distribution[0]) == "-0.0"
+    assert personas[2].distribution[0] == (1.3 / (3.3 + 1.3)) * 0.375
+    assert str(personas[3].distribution[0]) == "0.0"
+    _assert_matches_loop(personas, train, raw)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31))
 def test_random_personas_are_the_per_user_loop_bit_for_bit(seed):
