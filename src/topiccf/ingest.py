@@ -310,12 +310,24 @@ def _parse_lines(text: str, fmt: str) -> RatingDataset:
     )
 
 
+def loadtxt_or_none(source, dtype) -> np.ndarray | None:
+    """np.loadtxt of comma-separated rows with no comment character, at least 1-D;
+    None where numpy refuses the text. numpy 1.x warns on some text that 2.x
+    refuses (float text in an int column), so a warning is a refusal too."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+
+
 _FIELDS = [("user", np.int64), ("item", np.int64), ("rating", np.float64),
            ("timestamp", np.int64)]
 
 
 def _parse_columns(text: str, fmt: str) -> RatingColumns | None:
-    """Parse with one np.loadtxt; None where only _parse_lines can decide.
+    """Parse with one loadtxt_or_none; None where only _parse_lines can decide.
 
     It accepts a subset of what _parse_lines accepts, with the same values:
     numpy rejects float text in an int column, ``1_000``, whitespace-only lines
@@ -331,13 +343,9 @@ def _parse_columns(text: str, fmt: str) -> RatingColumns | None:
         width = re.match(r"\s*([^\n]*)", text).group(1).count(",") + 1  # of the first row
     if width not in (3, 4):
         return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy 1.x warns where 2.x raises
-            # As bytes: a StringIO of the text takes several bytes per character.
-            rows = np.loadtxt(io.BytesIO(text.encode()), dtype=_FIELDS[:width], delimiter=",",
-                              comments=None, ndmin=1)
-    except (ValueError, OverflowError, Warning):
+    # As bytes: a StringIO of the text takes several bytes per character.
+    rows = loadtxt_or_none(io.BytesIO(text.encode()), _FIELDS[:width])
+    if rows is None:
         return None
     rating = rows["rating"]
     if not np.all((rating >= RATING_MIN) & (rating <= RATING_MAX)):  # NaN fails too

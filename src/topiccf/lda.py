@@ -24,7 +24,6 @@ import math
 import os
 import re
 import tempfile
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -34,7 +33,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .ingest import ConfigurationError, DocumentCorpus, ParseError, float_reprs
+from .ingest import ConfigurationError, DocumentCorpus, ParseError, float_reprs, loadtxt_or_none
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 PROGRESS_EVERY = 100  # sweeps between on_progress reports
@@ -285,7 +284,8 @@ def _compile_kernel(cache: Path) -> Path:
 @functools.cache
 def load_kernels():
     """_kernels.c as a loaded library: (the ctypes.CDLL, "native (<.so path>)"), or
-    (None, "python (<why not>)") when it cannot be compiled or loaded. Once per process.
+    (None, "python (<why not>)") when it cannot be compiled or loaded. Once per process,
+    with the argument and result types of every function in it set.
 
     Compiled on first use into ~/.cache/topiccf, or into a temporary directory
     when there is no home directory or that is not a directory only this user can write.
@@ -301,32 +301,31 @@ def load_kernels():
     try:
         with where as cache:
             so = _compile_kernel(Path(cache))
-            return ctypes.CDLL(str(so)), f"native ({so})"
+            lib = ctypes.CDLL(str(so))
     except subprocess.CalledProcessError as exc:
         why = exc.stderr.decode(errors="replace").strip().splitlines()[-1:]
         return None, f"python ({_COMPILER} exited {exc.returncode}: {' '.join(why)})"
     except (OSError, subprocess.SubprocessError) as exc:
         return None, f"python ({exc})"
+    c_long, c_int, c_double = ctypes.c_long, ctypes.c_int, ctypes.c_double
+    i32, i32_out, f64, f64_out = (np.ctypeslib.ndpointer(t, flags=f) for t in (np.int32, np.float64)
+                                  for f in ("C_CONTIGUOUS", "C_CONTIGUOUS,WRITEABLE"))
+    loop = [c_long, f64, f64_out]  # fn(n, x, out)
+    signatures = {"topiccf_gibbs_sweep": [c_long, c_int, i32, i32, *[i32_out] * 4, f64,
+                                          c_double, c_double, c_double, f64_out],
+                  "topiccf_log": loop, "topiccf_exp": loop}
+    for name, argtypes in signatures.items():  # every function returns void
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, None
+    return lib, f"native ({so})"
 
 
 @functools.cache
 def gibbs_kernel() -> tuple[Callable | None, str]:
     """The Gibbs sweep train_lda runs: (the compiled kernel, "native (<.so path>)"), or
     (None, "python (<why not>)") when load_kernels cannot give it."""
-    import ctypes
-
     lib, how = load_kernels()
-    if lib is None:
-        return None, how
-    fn = lib.topiccf_gibbs_sweep
-    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-    i32_out = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS,WRITEABLE")
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    f64_out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    fn.argtypes = [ctypes.c_long, ctypes.c_int, i32, i32, i32_out, i32_out, i32_out, i32_out,
-                   f64, ctypes.c_double, ctypes.c_double, ctypes.c_double, f64_out]
-    fn.restype = None
-    return fn, how
+    return (None if lib is None else lib.topiccf_gibbs_sweep), how
 
 
 @functools.cache
@@ -334,17 +333,8 @@ def log_exp_kernels() -> tuple[tuple[Callable, Callable] | None, str]:
     """libm's log and exp mapped over arrays, as similarity takes them: ((log, exp), "native
     (<.so path>)"), each called as fn(n, x, out); or (None, "python (<why not>)") when
     load_kernels cannot give them."""
-    import ctypes
-
     lib, how = load_kernels()
-    if lib is None:
-        return None, how
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    f64_out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    loops = lib.topiccf_log, lib.topiccf_exp
-    for fn in loops:
-        fn.argtypes, fn.restype = [ctypes.c_long, f64, f64_out], None
-    return loops, how
+    return (None if lib is None else (lib.topiccf_log, lib.topiccf_exp)), how
 
 
 def _estimates(n_dt, n_wt, docs, alpha, alpha_sum, beta, vbeta):
@@ -416,7 +406,7 @@ def read_topic_rows(path, zero_ok: bool = False) -> list[tuple[int, int, np.ndar
     value or a row that does not sum to 1 is a ParseError; with ``zero_ok``, empty
     and all-zero rows are let through.
 
-    The file is parsed by one np.loadtxt (_topic_columns); where numpy refuses it
+    The file is parsed by one loadtxt_or_none (_topic_columns); where numpy refuses it
     or a row breaks a rule, the line parser (_topic_lines) reads it and names the
     first bad line.
     """
@@ -428,7 +418,7 @@ def read_topic_rows(path, zero_ok: bool = False) -> list[tuple[int, int, np.ndar
 
 
 def _topic_columns(lines: list[tuple[int, str]], zero_ok: bool):
-    """read_topic_rows of the numbered data lines by one np.loadtxt, ids as int64;
+    """read_topic_rows of the numbered data lines by one loadtxt_or_none, ids as int64;
     None where only _topic_lines can decide.
 
     It accepts a subset of what _topic_lines accepts, with the same values: numpy
@@ -440,12 +430,8 @@ def _topic_columns(lines: list[tuple[int, str]], zero_ok: bool):
     if not width:
         return None
     dtype = [("id", np.int64), ("p", np.float64, (width,))]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy 1.x warns on float text as an id
-            table = np.loadtxt([line for _, line in lines], dtype=dtype, delimiter=",",
-                               comments=None, ndmin=1)
-    except (ValueError, OverflowError, Warning):
+    table = loadtxt_or_none([line for _, line in lines], dtype)
+    if table is None:
         return None
     values = np.ascontiguousarray(table["p"])
     fine = rows_sum_to_one(values) | (zero_ok & ~values.any(axis=1))

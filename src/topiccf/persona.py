@@ -18,7 +18,7 @@ from .ingest import RatingDataset
 from .lda import ItemTopicProfile
 
 
-@dataclass
+@dataclass(frozen=True)
 class UserPersona:
     user_id: int
     distribution: np.ndarray | None          # None when undefined

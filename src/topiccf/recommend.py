@@ -133,7 +133,7 @@ def recommend_user_based(
 ) -> RecommendationList:
     """Standard user-based CF: rating-overlap neighborhood, then predicted
     rating sum(sim * r) / sum(|sim|) over neighbors who rated the candidate.
-    np.add.at adds the terms one by one in neighbor order, as a loop would."""
+    np.bincount adds the terms one by one in neighbor order from 0.0, as a loop would."""
     if sim not in USER_SIMILARITIES:
         raise ValueError(f"unknown similarity {sim!r}; expected one of {USER_SIMILARITIES}")
     row = (pearson_row if sim == "pearson" else llr_row)(user, train)
@@ -142,20 +142,20 @@ def recommend_user_based(
     rows = np.searchsorted(ix.user_ids, [v for v, _ in neighbors.neighbors])
     rated = csr_entries(ix.user_ptr, rows)
     sims = np.repeat([s for _, s in neighbors.neighbors], ix.user_degree[rows])
-    num = np.zeros(len(ix.item_ids))
-    den = np.zeros(len(ix.item_ids))
-    np.add.at(num, ix.user_items[rated], sims * train.columns.rating[rated])
-    np.add.at(den, ix.user_items[rated], np.abs(sims))
+    items = ix.user_items[rated]
+    num = np.bincount(items, sims * train.columns.rating[rated], minlength=len(ix.item_ids))
+    den = np.bincount(items, np.abs(sims), minlength=len(ix.item_ids))
     return _ranked(user, num / np.where(den > 0.0, den, np.nan), train, K)
 
 
 def recommend_item_based(user: int, train: RatingDataset, K: int = 75) -> RecommendationList:
     """Standard item-based CF: predicted rating for an unseen item is the
     item-LLR-weighted average of the user's own ratings; zero-similarity terms
-    are skipped.
+    count for nothing.
 
     Every candidate's sums grow together, one rated item at a time in stored
-    order; a skipped term adds +0.0, which leaves each sum's bits unchanged.
+    order. The item LLR is +0.0 or positive, never NaN or -0.0, so a
+    zero-similarity term adds +0.0, which leaves each sum's bits unchanged.
     """
     ix = train.index
     own = csr_row(ix.user_ptr, ix.user_ids, user)
@@ -164,7 +164,6 @@ def recommend_item_based(user: int, train: RatingDataset, K: int = 75) -> Recomm
     for j, rating in zip(ix.item_ids[ix.user_items[own]].tolist(),
                          train.columns.rating[own].tolist()):
         s = item_llr_col(j, train)
-        s = np.where(s > 0.0, s, 0.0)
         num = num + s * rating
         den = den + s
     return _ranked(user, num / np.where(den > 0.0, den, np.nan), train, K)

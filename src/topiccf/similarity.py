@@ -283,8 +283,9 @@ def _candidate_block(personas: Mapping[int, UserPersona], train: RatingDataset) 
     """The _Block of train's users in personas, built on the first call for
     a persona map and kept until another map or another train set comes.
 
-    A distribution changed in place is not seen; the personas topiccf builds
-    or loads hold read-only ones."""
+    A persona is frozen, so a new distribution comes as a new persona object,
+    which the memo sees; a distribution changed in place is not seen, and the
+    personas topiccf builds or loads hold read-only ones."""
     ix = train.index
     memo_ix, ids, memo_cands, block = _block_memo
     if memo_ix is not ix:

@@ -1,11 +1,12 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topiccf import ingest
+from topiccf import ingest, lda
 from topiccf.ingest import (
     FORMATS,
     ConfigurationError,
@@ -468,3 +469,46 @@ def test_columns_hold_the_ratings_in_pair_order():
     assert ix.item_ids[ix.user_items].tolist() == c.item.tolist()  # aligned with the rows
     with pytest.raises(ValueError):
         c.rating[0] = 2.0
+
+
+def _warning_loadtxt(monkeypatch):
+    """Makes np.loadtxt return its result and warn, as numpy 1.x does on text that
+    numpy 2.x refuses; returns the list its calls are counted in."""
+    real, calls = np.loadtxt, []
+
+    def loadtxt(*args, **kwargs):
+        calls.append(args)
+        rows = real(*args, **kwargs)
+        warnings.warn("float text in an int column", DeprecationWarning)
+        return rows
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_numpy_warning_sends_the_ratings_to_the_line_parser(fmt, monkeypatch):
+    text = _generated(fmt, rows=2000)
+    want = parse_ratings(io.StringIO(text), fmt)
+    loaded = _warning_loadtxt(monkeypatch)
+    parse_lines, fallbacks = ingest._parse_lines, []
+    monkeypatch.setattr(ingest, "_parse_lines",
+                        lambda *args: fallbacks.append(args) or parse_lines(*args))
+    got = parse_ratings(io.StringIO(text), fmt)
+    assert len(loaded) == 1 and len(fallbacks) == 1
+    assert got.records == want.records
+    assert got.duplicates_dropped == want.duplicates_dropped
+
+
+def test_a_numpy_warning_sends_the_topic_rows_to_the_line_parser(tmp_path, monkeypatch):
+    path = tmp_path / "rows.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        lda.write_rows(fh, [[str(i) for i in range(1, 41)]],
+                       np.random.default_rng(5).dirichlet(np.full(5, 0.3), size=40))
+    want = [(n, i, v.tobytes()) for n, i, v in lda.read_topic_rows(path)]
+    loaded = _warning_loadtxt(monkeypatch)
+    topic_lines, fallbacks = lda._topic_lines, []
+    monkeypatch.setattr(lda, "_topic_lines",
+                        lambda *args: fallbacks.append(args) or topic_lines(*args))
+    got = [(n, i, v.tobytes()) for n, i, v in lda.read_topic_rows(path)]
+    assert len(loaded) == 1 and len(fallbacks) == 1
+    assert got == want

@@ -382,6 +382,36 @@ def test_sweep_and_loops_share_one_compile_and_one_load(tmp_path, monkeypatch):
     assert calls == {"compile": 1, "load": 1}
 
 
+@pytest.mark.parametrize("first", ["gibbs_kernel", "log_exp_kernels"])
+def test_native_functions_refuse_arrays_of_another_type_or_layout(tmp_path, monkeypatch, first):
+    import ctypes
+
+    monkeypatch.setenv("HOME", str(tmp_path))
+    _clear_kernel_caches()
+    try:
+        getattr(lda, first)()
+        lib, how = lda.load_kernels()
+    finally:
+        _clear_kernel_caches()
+    if lib is None:
+        pytest.skip(how)
+    T, words, doc_of = 2, np.array([0, 1, 0], np.int32), np.zeros(3, np.int32)
+    z = np.array([0, 1, 0], np.int32)
+    counts = [np.array([[2, 1]], np.int32), np.array([[2, 0], [0, 1]], np.int32),
+              np.array([2, 1], np.int32)]
+    x = np.array([0.25, 0.5, 0.75])
+    # (function, its arguments, the position of a float64 input among them)
+    calls = [(lib.topiccf_gibbs_sweep, [3, T, words, doc_of, z, *counts, x, 1.0, 0.01, 0.02,
+                                        np.empty(T)], 8),
+             (lib.topiccf_log, [3, x, np.empty(3)], 1),
+             (lib.topiccf_exp, [3, x, np.empty(3)], 1)]
+    for fn, args, at in calls:
+        fn(*args)  # the right arrays pass
+        for bad in (x.astype(np.float32), np.repeat(x, 2)[::2]):
+            with pytest.raises(ctypes.ArgumentError):
+                fn(*args[:at], bad, *args[at + 1:])
+
+
 @pytest.mark.parametrize("home", ["shared", "absent"])
 def test_kernel_is_built_in_a_temporary_directory_without_a_private_cache(tmp_path, monkeypatch,
                                                                            home):

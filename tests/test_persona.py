@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,3 +243,13 @@ def test_personas_csv_is_each_value_by_its_own_repr(tmp_path, monkeypatch, block
             for u in sorted(personas)]
     assert path.read_text() == repr_rows_text(rows, trailer="#undefined:1\n")
     assert "1,0.5,-0.0,0.5,0.0\n" in path.read_text()
+
+
+def test_a_persona_is_frozen():
+    # The topic row keeps its block while every persona object in the map is the
+    # same one, so a persona must not change under it: a new distribution is a new persona.
+    persona = build_persona(1, [(10, 4.0)], _profiles({10: [0.9, 0.1]}))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        persona.distribution = np.array([0.1, 0.9])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        persona.distribution = None
