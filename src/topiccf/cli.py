@@ -242,6 +242,9 @@ def cmd_evaluate(cfg: RunConfig, out: Path, per_user_detail: bool = False,
     if dump_similarities or any(RECOMMENDERS[a][0] for a in selected):
         _require_inputs(out, {"personas.csv": "personas"})
         personas = persona.load_personas_csv(out / "personas.csv")
+        if not any(personas[u].defined for u in train.users() if u in personas):
+            raise ConfigurationError(f"no train user has a defined persona in "
+                                     f"{out / 'personas.csv'}; run personas again")
         n_undef = persona.undefined_count(personas)
         if n_undef:
             print(f"note: {n_undef} personas undefined; hybrid falls back to "

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .ingest import RatingDataset
 from .recommend import RecommendationList
 
@@ -59,6 +61,8 @@ def evaluate_sweep(
 ) -> list[EvalRow]:
     """Generate max_K recommendations once per user, truncate per K, average.
 
+    A test user's relevant set, read from the test columns by ``user_runs``,
+    is their items rated at least ``relevance_threshold`` (all when None).
     ``recommender(user)`` must return the user's full list (up to max_K items).
     ``detail_sink``, when given, receives per-user csv lines
     ``user_id,K,precision,recall,f``.
@@ -68,22 +72,18 @@ def evaluate_sweep(
         raise ValueError("duplicate K values")
     if Ks and max_K < Ks[-1]:
         raise ValueError(f"max_K={max_K} below largest K={Ks[-1]}")
-    users = []
-    relevant_by_user: dict[int, set[int]] = {}
-    for user in test.users():
-        relevant = {
-            item
-            for item, rating in test.by_user[user]
-            if relevance_threshold is None or rating >= relevance_threshold
-        }
-        if relevant:
-            users.append(user)
-            relevant_by_user[user] = relevant
+    user_ids, ptr = test.user_runs
+    kept = (np.ones(len(test), dtype=bool) if relevance_threshold is None
+            else test.columns.rating >= relevance_threshold)
+    # user k's relevant items are kept_items[bounds[k]:bounds[k + 1]]
+    kept_items, bounds = test.columns.item[kept].tolist(), np.append(0, np.cumsum(kept))[ptr]
+    relevant_by_user = {user: set(kept_items[start:end]) for user, start, end
+                        in zip(user_ids.tolist(), bounds.tolist(), bounds[1:].tolist())
+                        if end > start}
 
     sums = {k: [0.0, 0.0, 0.0] for k in Ks}
-    for user in users:
+    for user, relevant in relevant_by_user.items():
         items = recommender(user).item_ids()
-        relevant = relevant_by_user[user]
         for k in Ks:
             p, r = precision_recall_at_k(items[:k], relevant)
             f = f_measure(p, r)
@@ -93,7 +93,7 @@ def evaluate_sweep(
             if detail_sink is not None:
                 detail_sink.write(f"{user},{k},{p!r},{r!r},{f!r}\n")
 
-    n = len(users)
+    n = len(relevant_by_user)
     return [
         EvalRow(k, sums[k][0] / n if n else 0.0, sums[k][1] / n if n else 0.0,
                 sums[k][2] / n if n else 0.0, n)

@@ -141,13 +141,12 @@ def csr_entries(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
 class RatingDataset:
     """Immutable user-item ratings, one per (user, item): the last one given.
 
-    The ratings are held as ``columns`` in (user, item) order;
-    ``duplicates_dropped`` counts the ratings that a later rating of the same
-    pair replaced. Everything else is derived from the columns on first use and kept:
-    ``user_runs`` serves the split and the persona build; ``records`` and
-    ``by_user`` (users ascending, to (item_id, rating) tuples in item order)
-    serve evaluate and the tests; ``index`` serves the batch rows and the
-    per-pair measures.
+    Built from RatingColumns or from an iterable of RatingRecord. The ratings
+    are held as ``columns`` in (user, item) order; ``duplicates_dropped``
+    counts the ratings that a later rating of the same pair replaced. The two
+    groupings of the columns are derived on first use and kept: ``user_runs``
+    serves the split, the persona build and evaluate; ``index`` serves the
+    batch rows and the per-pair measures.
     """
 
     def __init__(self, ratings: Iterable[RatingRecord] | RatingColumns = ()):
@@ -176,21 +175,6 @@ class RatingDataset:
         return self.index.item_ids if "index" in self.__dict__ else np.unique(self.columns.item)
 
     @cached_property
-    def by_user(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        user_ids, ptr = self.user_runs
-        ptr = ptr.tolist()
-        pairs = list(zip(self.columns.item.tolist(), self.columns.rating.tolist()))
-        return {u: tuple(pairs[s:e]) for u, s, e in zip(user_ids.tolist(), ptr, ptr[1:])}
-
-    @cached_property
-    def records(self) -> tuple[RatingRecord, ...]:
-        c = self.columns
-        stamps = [t if has else None
-                  for t, has in zip(c.timestamp.tolist(), c.has_timestamp.tolist())]
-        return tuple(map(RatingRecord, c.user.tolist(), c.item.tolist(), c.rating.tolist(),
-                         stamps))
-
-    @cached_property
     def num_users(self) -> int:
         return len(self.user_runs[0])
 
@@ -198,24 +182,11 @@ class RatingDataset:
     def num_items(self) -> int:
         return len(self._item_ids)
 
-    def user_items(self, user_id: int) -> frozenset[int]:
-        ix = self.index
-        items = ix.user_items[csr_row(ix.user_ptr, ix.user_ids, user_id)]
-        return frozenset(ix.item_ids[items].tolist())
-
-    def item_users(self, item_id: int) -> frozenset[int]:
-        ix = self.index
-        users = ix.item_users[csr_row(ix.item_ptr, ix.item_ids, item_id)]
-        return frozenset(ix.user_ids[users].tolist())
-
     def users(self) -> list[int]:
         return self.user_runs[0].tolist()
 
     def items(self) -> list[int]:
         return self._item_ids.tolist()
-
-    def record_set(self) -> frozenset[RatingRecord]:
-        return frozenset(self.records)
 
     @cached_property
     def index(self) -> RatingIndex:

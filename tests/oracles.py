@@ -15,6 +15,38 @@ import scipy.stats
 FLOOR = 1e-10
 
 
+# ---------- the ratings as tuples ----------
+
+def ds_records(ds):
+    """The dataset's ratings as RatingRecords in row order, read from its columns;
+    a row without a timestamp has None."""
+    from topiccf.ingest import RatingRecord
+    c = ds.columns
+    return tuple(RatingRecord(u, i, r, t if has else None) for u, i, r, t, has in zip(
+        c.user.tolist(), c.item.tolist(), c.rating.tolist(), c.timestamp.tolist(),
+        c.has_timestamp.tolist()))
+
+
+def ds_record_set(ds):
+    return frozenset(ds_records(ds))
+
+
+def ds_by_user(ds):
+    """user -> ((item, rating), ...) in row order, users in row order."""
+    out = {}
+    for r in ds_records(ds):
+        out.setdefault(r.user_id, []).append((r.item_id, r.rating))
+    return {u: tuple(pairs) for u, pairs in out.items()}
+
+
+def ds_user_items(ds, user):
+    return frozenset(ds.columns.item[ds.columns.user == user].tolist())
+
+
+def ds_item_users(ds, item):
+    return frozenset(ds.columns.user[ds.columns.item == item].tolist())
+
+
 # ---------- similarity ----------
 
 def naive_symmetric_kl(p, q):
@@ -240,7 +272,7 @@ def pipeline_sims(train, personas):
     from topiccf.similarity import (
         item_llr_similarity, llr_similarity, pearson_similarity, topic_similarity,
     )
-    by_user = {u: list(pairs) for u, pairs in train.by_user.items()}
+    by_user = {u: list(pairs) for u, pairs in ds_by_user(train).items()}
 
     def hybrid_sim(a, b):
         t = topic_similarity(personas.get(a), personas.get(b))

@@ -38,6 +38,9 @@ from topiccf.similarity import (
 from topiccf.evaluate import precision_recall_at_k
 
 from oracles import (
+    ds_by_user,
+    ds_records,
+    ds_user_items,
     naive_hybrid,
     naive_item_based,
     naive_llr,
@@ -84,19 +87,19 @@ def test_criterion_1_similarity_oracle_equivalence():
                     worst = max(worst, abs(t_got - t_want))
 
                 p_got = pearson_similarity(ua, ub, train)
-                p_want = naive_pearson(dict(train.by_user[ua]), dict(train.by_user[ub]))
+                p_want = naive_pearson(dict(ds_by_user(train)[ua]), dict(ds_by_user(train)[ub]))
                 assert p_got.defined == (p_want is not None)
                 if p_want is not None:
                     worst = max(worst, abs(p_got.value - p_want))
 
                 l_got = llr_similarity(ua, ub, train).value
-                l_want = naive_llr(train.user_items(ua), train.user_items(ub),
+                l_want = naive_llr(ds_user_items(train, ua), ds_user_items(train, ub),
                                    train.num_items)
                 worst = max(worst, abs(l_got - l_want))
 
                 h_got = hybrid_similarity(ua, ub, personas, train).value
-                h_want = naive_hybrid(raw[ua], raw[ub], train.user_items(ua),
-                                      train.user_items(ub), train.num_items)
+                h_want = naive_hybrid(raw[ua], raw[ub], ds_user_items(train, ua),
+                                      ds_user_items(train, ub), train.num_items)
                 worst = max(worst, abs(h_got - h_want))
     elapsed = time.monotonic() - t0
     _criterion(1, "similarity oracle equivalence",
@@ -271,7 +274,7 @@ def test_criterion_5_relative_ordering():
     t0 = time.monotonic()
     ds, profiles = _clustered_benchmark()
     assert ds.num_users == 200 and ds.num_items == 400
-    assert len(ds.records) == 4000  # 5% density
+    assert len(ds_records(ds)) == 4000  # 5% density
     pair = split_train_test(ds, 0.8, seed=99)
     train, test = pair.train, pair.test
     personas = build_all_personas(train, profiles)
@@ -303,8 +306,8 @@ def test_criterion_6_metric_integrity():
     personas = random_personas(rng, train.users(), n_topics=4)
     integral = True
     monotone = True
-    for u in sorted(test.by_user):
-        relevant = {i for i, _ in test.by_user[u]}
+    for u in sorted(ds_by_user(test)):
+        relevant = {i for i, _ in ds_by_user(test)[u]}
         recs = recommend_hybrid(u, personas, train, N=5, K=20).item_ids()
         prev_recall = 0.0
         for k in (1, 3, 5, 10, 20):

@@ -129,7 +129,8 @@ def test_personas_rows_and_trailer(tiny_inputs, tmp_path, capsys):
 
 
 def test_personas_stage_leaves_by_user_unbuilt(tiny_inputs, tmp_path, monkeypatch):
-    # by_user costs ~0.2 s of CPU at MovieLens-1M shape; the persona build reads the columns.
+    # The persona build reads the columns by user_runs: it builds no tuple view and no
+    # CSR index (the index costs an argsort of every rating).
     ratings, corpus = tiny_inputs
     args = _base_args(ratings, corpus, tmp_path / "out")
     built = []
@@ -140,6 +141,7 @@ def test_personas_stage_leaves_by_user_unbuilt(tiny_inputs, tmp_path, monkeypatc
         assert main([stage] + args) == 0
     assert len(built) == 1
     assert "by_user" not in built[0].__dict__
+    assert "index" not in built[0].__dict__
 
 
 def test_personas_all_undefined_fails_before_writing(tiny_inputs, tmp_path, capsys):
@@ -156,6 +158,29 @@ def test_personas_all_undefined_fails_before_writing(tiny_inputs, tmp_path, caps
     assert "all 8 personas undefined" in err
     assert "item ids" in err
     assert not (out / "personas.csv").exists()
+
+
+def test_evaluate_refuses_personas_that_cover_no_train_user(tiny_inputs, tmp_path, capsys):
+    # A personas.csv from other users: every topic similarity would be undefined,
+    # topic_only would score nothing and hybrid would quietly be LLR-only.
+    ratings, corpus = tiny_inputs
+    out = tmp_path / "out"
+    args = _base_args(ratings, corpus, out)
+    for stage in ("split", "train", "personas"):
+        assert main([stage] + args) == 0
+    path = out / "personas.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line if line.startswith("#") else
+                            f"{int(line.split(',', 1)[0]) + 100000},{line.split(',', 1)[1]}"
+                            for line in lines))
+    capsys.readouterr()
+    assert main(["evaluate"] + args + ["--algorithms", "hybrid,topic_only"]) == 2
+    err = capsys.readouterr().err
+    assert "no train user has a defined persona" in err
+    assert str(path) in err and "run personas again" in err
+    assert not (out / "report.csv").exists()
+    # The baselines read no personas, so the same directory still evaluates them.
+    assert main(["evaluate"] + args + ["--algorithms", "ubcf_pearson,ubcf_llr,ibcf_llr"]) == 0
 
 
 def test_personas_requires_upstream(tmp_path, capsys):

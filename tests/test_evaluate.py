@@ -14,7 +14,7 @@ from topiccf.evaluate import (
 from topiccf.ingest import RatingDataset, RatingRecord
 from topiccf.recommend import Recommendation, RecommendationList
 
-from oracles import naive_precision_recall
+from oracles import ds_by_user, naive_precision_recall
 
 
 def _ds(by_user):
@@ -94,26 +94,39 @@ def test_empty_recommender_all_zero():
 
 
 def test_sweep_matches_naive_per_user_recomputation():
+    big = 2**63 - 1
     train = _ds({u: [(100 + u, 5.0)] for u in (1, 2, 3)})
     test = _ds({
         1: [(1, 4.0), (2, 4.0)],
-        2: [(3, 4.0), (4, 4.0), (5, 4.0)],
-        3: [(6, 4.0)],
+        2: [(3, 4.0), (4, 3.0), (5, 5.0)],          # a threshold drops some, not all
+        3: [(6, 4.0)],                              # left with none at 5.0
+        -7: [(-big - 1, 5.0), (-2, 3.0), (-1, 5.0), (big, 4.5)],  # negative, int64-sized ids
+        2**62: [(8, 2.0), (9, 1.0)],                # left with none at any threshold
     })
-    lists = {1: [1, 9, 2], 2: [3, 9, 8], 3: [7, 8, 9]}
-    rows = evaluate_sweep(lambda u: _recs(u, lists[u]), train, test, Ks=[1, 3], max_K=3)
-    for row in rows:
-        ps, rs, fs = [], [], []
-        for u in (1, 2, 3):
-            rel = {i for i, _ in test.by_user[u]}
-            p, r = naive_precision_recall(lists[u][: row.K], rel)
-            ps.append(p)
-            rs.append(r)
-            fs.append(0.0 if p + r == 0 else 2 * p * r / (p + r))
-        assert row.precision == pytest.approx(sum(ps) / 3, abs=1e-12)
-        assert row.recall == pytest.approx(sum(rs) / 3, abs=1e-12)
-        assert row.f_measure == pytest.approx(sum(fs) / 3, abs=1e-12)
-        assert row.users_evaluated == 3
+    lists = {1: [1, 9, 2], 2: [3, 9, 5], 3: [7, 8, 9], -7: [-1, big, -2],
+             2**62: [8, 9, 1]}
+    for threshold, n_users in ((None, 5), (3.5, 4), (5.0, 2)):
+        detail = io.StringIO()
+        rows = evaluate_sweep(lambda u: _recs(u, lists[u]), train, test, Ks=[1, 3], max_K=3,
+                              relevance_threshold=threshold, detail_sink=detail)
+        rels = {u: {i for i, r in pairs if threshold is None or r >= threshold}
+                for u, pairs in ds_by_user(test).items()}
+        users = [u for u in sorted(rels) if rels[u]]
+        assert len(users) == n_users
+        assert [int(line.split(",")[0]) for line in detail.getvalue().splitlines()] == [
+            u for u in users for _ in (1, 3)]
+        for row in rows:
+            ps, rs, fs = [], [], []
+            for u in users:
+                rel = rels[u]
+                p, r = naive_precision_recall(lists[u][: row.K], rel)
+                ps.append(p)
+                rs.append(r)
+                fs.append(0.0 if p + r == 0 else 2 * p * r / (p + r))
+            assert row.precision == pytest.approx(sum(ps) / n_users, abs=1e-12)
+            assert row.recall == pytest.approx(sum(rs) / n_users, abs=1e-12)
+            assert row.f_measure == pytest.approx(sum(fs) / n_users, abs=1e-12)
+            assert row.users_evaluated == n_users
 
 
 def test_recall_monotone_in_k():
@@ -134,7 +147,7 @@ def test_hit_counts_are_integers():
                 for u in (1, 2, 3)})
     lists = {u: [int(i) for i in rng.permutation(60)[:20]] for u in (1, 2, 3)}
     for u in (1, 2, 3):
-        rel = {i for i, _ in test.by_user[u]}
+        rel = {i for i, _ in ds_by_user(test)[u]}
         for k in (1, 5, 10, 20):
             p, r = precision_recall_at_k(lists[u][:k], rel)
             n_recs = len(lists[u][:k])

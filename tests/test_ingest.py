@@ -21,20 +21,22 @@ from topiccf.ingest import (
     write_ratings_csv,
 )
 
+from oracles import ds_by_user, ds_item_users, ds_record_set, ds_records
+
 
 def test_parse_movielens_line():
     ds = parse_ratings(io.StringIO("1::1193::5::978300760\n"), "movielens_dat")
-    assert ds.records == (RatingRecord(1, 1193, 5.0, 978300760),)
+    assert ds_records(ds) == (RatingRecord(1, 1193, 5.0, 978300760),)
 
 
 def test_parse_csv_without_timestamp():
     ds = parse_ratings(io.StringIO("7,42,3.0\n"), "csv")
-    assert ds.records == (RatingRecord(7, 42, 3.0, None),)
+    assert ds_records(ds) == (RatingRecord(7, 42, 3.0, None),)
 
 
 def test_parse_csv_with_timestamp():
     ds = parse_ratings(io.StringIO("7,42,3.0,12345\n"), "csv")
-    assert ds.records[0].timestamp == 12345
+    assert ds_records(ds)[0].timestamp == 12345
 
 
 def test_parse_accepts_bytes_stream():
@@ -46,7 +48,7 @@ def test_parse_accepts_bytes_stream():
 def test_duplicates_keep_last_and_count():
     ds = parse_ratings(io.StringIO("1,5,2.0\n1,5,4.0\n1,6,3.0\n"), "csv")
     assert ds.duplicates_dropped == 1
-    assert dict(ds.by_user[1])[5] == 4.0
+    assert dict(ds_by_user(ds)[1])[5] == 4.0
 
 
 def test_dataset_keeps_last_rating_per_pair():
@@ -56,20 +58,28 @@ def test_dataset_keeps_last_rating_per_pair():
     ])
     assert len(ds) == 4
     assert ds.duplicates_dropped == 1
-    assert ds.by_user[1] == ((5, 4.0), (6, 4.0))
-    assert sum(len(v) for v in ds.by_user.values()) == len(ds)
+    assert ds_by_user(ds)[1] == ((5, 4.0), (6, 4.0))
+    assert sum(len(v) for v in ds_by_user(ds).values()) == len(ds)
 
 
 def test_dataset_orders_records_by_user_then_item():
     rng = np.random.default_rng(3)
     ordered = [RatingRecord(u, i, float(1 + (u * i) % 5)) for u in (2, 7, 9) for i in (1, 4, 8, 30)]
     ds = RatingDataset(ordered[k] for k in rng.permutation(len(ordered)))
-    assert ds.records == tuple(ordered)
-    assert list(ds.by_user) == [2, 7, 9]
-    for u, pairs in ds.by_user.items():
+    assert ds_records(ds) == tuple(ordered)
+    assert list(ds_by_user(ds)) == [2, 7, 9]
+    for u, pairs in ds_by_user(ds).items():
         assert pairs == tuple((r.item_id, r.rating) for r in ordered if r.user_id == u)
     assert ds.users() == [2, 7, 9]
     assert ds.items() == [1, 4, 8, 30]
+
+
+def test_dataset_holds_the_ratings_once():
+    # The columns and their two groupings (user_runs, index) are the only representation.
+    ds = RatingDataset([RatingRecord(1, 5, 2.0, 7)])
+    for view in ("records", "record_set", "by_user", "user_items", "item_users"):
+        assert not hasattr(ds, view)
+    assert ds.columns.user.tolist() == [1] and ds.users() == [1] and ds.items() == [5]
 
 
 def test_wrong_field_count_reports_line_number():
@@ -97,8 +107,8 @@ def test_unknown_format_rejected():
 
 def test_index_consistency():
     ds = parse_ratings(io.StringIO("1,1,5\n1,2,4\n2,1,3\n3,3,1\n"), "csv")
-    assert sum(len(v) for v in ds.by_user.values()) == len(ds.records)
-    assert sum(len(ds.item_users(i)) for i in ds.items()) == len(ds.records)
+    assert sum(len(v) for v in ds_by_user(ds).values()) == len(ds_records(ds))
+    assert sum(len(ds_item_users(ds, i)) for i in ds.items()) == len(ds_records(ds))
     assert ds.num_users == 3
     assert ds.num_items == 3
 
@@ -217,23 +227,23 @@ def test_split_80_20_counts():
 def test_split_single_rating_user_goes_to_train():
     ds = _dataset({1: 1, 2: 4})
     pair = split_train_test(ds, 0.8, seed=3)
-    assert 1 in pair.train.by_user
-    assert 1 not in pair.test.by_user
+    assert 1 in ds_by_user(pair.train)
+    assert 1 not in ds_by_user(pair.test)
 
 
 def test_split_deterministic():
     ds = _dataset({1: 10, 2: 7, 3: 3})
     a = split_train_test(ds, 0.8, seed=11)
     b = split_train_test(ds, 0.8, seed=11)
-    assert a.train.record_set() == b.train.record_set()
-    assert a.test.record_set() == b.test.record_set()
+    assert ds_record_set(a.train) == ds_record_set(b.train)
+    assert ds_record_set(a.test) == ds_record_set(b.test)
 
 
 def test_split_changes_with_seed():
     ds = _dataset({u: 10 for u in range(1, 20)})
     a = split_train_test(ds, 0.8, seed=1)
     b = split_train_test(ds, 0.8, seed=2)
-    assert a.train.record_set() != b.train.record_set()
+    assert ds_record_set(a.train) != ds_record_set(b.train)
 
 
 def test_split_fraction_precondition():
@@ -257,11 +267,11 @@ def test_split_fraction_precondition():
 def test_split_partition_property(n_per_user, fraction, seed):
     ds = _dataset(n_per_user)
     pair = split_train_test(ds, fraction, seed)
-    assert pair.train.record_set() | pair.test.record_set() == ds.record_set()
-    assert not (pair.train.record_set() & pair.test.record_set())
+    assert ds_record_set(pair.train) | ds_record_set(pair.test) == ds_record_set(ds)
+    assert not (ds_record_set(pair.train) & ds_record_set(pair.test))
     for u, n in n_per_user.items():
         expected_train = int(fraction * n + 0.5)
-        assert len(pair.train.by_user.get(u, ())) == expected_train
+        assert len(ds_by_user(pair.train).get(u, ())) == expected_train
 
 
 def test_csv_round_trip(tmp_path):
@@ -269,7 +279,7 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     write_ratings_csv(ds, path)
     again = parse_ratings(path, "csv")
-    assert again.record_set() == ds.record_set()
+    assert ds_record_set(again) == ds_record_set(ds)
 
 
 def test_csv_round_trip_preserves_split(tmp_path):
@@ -277,7 +287,7 @@ def test_csv_round_trip_preserves_split(tmp_path):
     pair = split_train_test(ds, 0.8, seed=5)
     p = tmp_path / "train.csv"
     write_ratings_csv(pair.train, p)
-    assert parse_ratings(p, "csv").record_set() == pair.train.record_set()
+    assert ds_record_set(parse_ratings(p, "csv")) == ds_record_set(pair.train)
 
 
 def test_dataset_summary():
@@ -322,7 +332,7 @@ def _assert_same_as_line_parser(text, fmt, tmp_path):
             expected, error = None, exc
         if error is None:
             got = parse_ratings(make(), fmt)
-            assert got.records == expected.records
+            assert ds_records(got) == ds_records(expected)
             assert got.duplicates_dropped == expected.duplicates_dropped
         else:
             with pytest.raises(type(error)) as exc:
@@ -332,7 +342,7 @@ def _assert_same_as_line_parser(text, fmt, tmp_path):
     if fast is not None:
         lines = ingest._parse_lines(text, fmt)
         ds = RatingDataset(fast)
-        assert ds.records == lines.records
+        assert ds_records(ds) == ds_records(lines)
         assert ds.duplicates_dropped == lines.duplicates_dropped
 
 
@@ -408,7 +418,7 @@ def test_rejected_files_name_the_line(text, fmt, error, line_no, tmp_path):
 ])
 def test_line_parser_takes_what_numpy_does_not(text, fmt, records, tmp_path):
     for make in _sources(text, tmp_path).values():
-        assert list(parse_ratings(make(), fmt).records) == records
+        assert list(ds_records(parse_ratings(make(), fmt))) == records
     _assert_same_as_line_parser(text, fmt, tmp_path)
 
 
@@ -464,7 +474,7 @@ def test_columns_hold_the_ratings_in_pair_order():
     assert c.has_timestamp.tolist() == [False, False, True]
     assert [col.dtype for col in c] == [np.int64, np.int64, np.float64, np.int64, np.bool_]
     assert ds.duplicates_dropped == 1
-    assert RatingDataset(c).records == ds.records
+    assert ds_records(RatingDataset(c)) == ds_records(ds)
     ix = ds.index
     assert ix.item_ids[ix.user_items].tolist() == c.item.tolist()  # aligned with the rows
     with pytest.raises(ValueError):
@@ -495,7 +505,7 @@ def test_a_numpy_warning_sends_the_ratings_to_the_line_parser(fmt, monkeypatch):
                         lambda *args: fallbacks.append(args) or parse_lines(*args))
     got = parse_ratings(io.StringIO(text), fmt)
     assert len(loaded) == 1 and len(fallbacks) == 1
-    assert got.records == want.records
+    assert ds_records(got) == ds_records(want)
     assert got.duplicates_dropped == want.duplicates_dropped
 
 

@@ -17,7 +17,7 @@ from topiccf.persona import (
     write_personas_csv,
 )
 
-from oracles import loop_persona, naive_persona, repr_rows_text
+from oracles import ds_records, loop_persona, naive_persona, repr_rows_text
 from synth import random_dataset
 
 
@@ -156,7 +156,7 @@ def test_total_is_the_left_to_right_sum_in_item_order():
 
 def _assert_matches_loop(personas, train, raw):
     by_user = {}
-    for r in train.records:
+    for r in ds_records(train):
         by_user.setdefault(r.user_id, []).append((r.item_id, r.rating))
     assert sorted(personas) == sorted(by_user)
     for u, ratings in by_user.items():
@@ -221,10 +221,12 @@ def test_random_personas_are_the_per_user_loop_bit_for_bit(seed):
 
 
 def test_build_all_personas_leaves_by_user_unbuilt():
-    # by_user costs ~0.2 s of CPU at MovieLens-1M shape; the persona build reads the columns.
+    # The persona build reads the columns by user_runs: it builds no tuple view and no
+    # CSR index (the index costs an argsort of every rating).
     train = RatingDataset([RatingRecord(1, 10, 5.0), RatingRecord(2, 20, 3.0)])
     build_all_personas(train, _profiles({10: [0.9, 0.1], 20: [0.1, 0.9]}))
     assert "by_user" not in train.__dict__
+    assert "index" not in train.__dict__
 
 
 @pytest.mark.parametrize("block", [1, 9, None])  # values per write_rows block; None: default

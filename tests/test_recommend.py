@@ -16,6 +16,8 @@ from topiccf.recommend import (
 from topiccf.similarity import SimilarityScore, UNDEFINED, pearson_similarity
 
 from oracles import (
+    ds_by_user,
+    ds_user_items,
     naive_item_based,
     naive_recommend_neighborhood,
     naive_user_based,
@@ -316,7 +318,7 @@ def test_structural_invariants():
                 ids = recs.item_ids()
                 assert len(ids) <= 4
                 assert len(set(ids)) == len(ids)
-                assert not (set(ids) & train.user_items(u))
+                assert not (set(ids) & ds_user_items(train, u))
                 scores = [r.score for r in recs.items]
                 assert scores == sorted(scores, reverse=True)
                 for a, b in zip(recs.items, recs.items[1:]):
@@ -360,7 +362,7 @@ def test_pearson_user_based_equals_the_per_pair_neighbourhood_path():
         train = random_dataset(rng, max_users=40, max_items=60, rating_choices=choices,
                                density=0.2)
         users = train.users()
-        by_user = {u: list(pairs) for u, pairs in train.by_user.items()}
+        by_user = {u: list(pairs) for u, pairs in ds_by_user(train).items()}
         for u in users + [max(users) + 1]:
             neighbors = build_neighborhood(
                 u, lambda a, b: pearson_similarity(a, b, train), train, 6).neighbors

@@ -22,7 +22,16 @@ from topiccf.similarity import (
     topic_similarity,
 )
 
-from oracles import naive_hybrid, naive_llr, naive_pearson, naive_symmetric_kl
+from oracles import (
+    ds_by_user,
+    ds_item_users,
+    ds_records,
+    ds_user_items,
+    naive_hybrid,
+    naive_llr,
+    naive_pearson,
+    naive_symmetric_kl,
+)
 from synth import desk_instance, random_dataset, random_personas
 
 # Frozen oracle values (scipy.stats.entropy / scipy.stats.pearsonr / entropy-form G2)
@@ -313,7 +322,7 @@ def test_matches_naive_oracles_on_random_instances():
                 if u == v:
                     continue
                 mine = pearson_similarity(u, v, train)
-                ref = naive_pearson(dict(train.by_user[u]), dict(train.by_user[v]))
+                ref = naive_pearson(dict(ds_by_user(train)[u]), dict(ds_by_user(train)[v]))
                 if ref is None:
                     assert not mine.defined
                 else:
@@ -321,7 +330,7 @@ def test_matches_naive_oracles_on_random_instances():
                     assert mine.value == pytest.approx(ref, abs=1e-9)
 
                 assert llr_similarity(u, v, train).value == pytest.approx(
-                    naive_llr(train.user_items(u), train.user_items(v), train.num_items),
+                    naive_llr(ds_user_items(train, u), ds_user_items(train, v), train.num_items),
                     abs=1e-9,
                 )
 
@@ -334,8 +343,8 @@ def test_matches_naive_oracles_on_random_instances():
                     )
 
                 assert hybrid_similarity(u, v, personas, train).value == pytest.approx(
-                    naive_hybrid(raw[u], raw[v], train.user_items(u),
-                                 train.user_items(v), train.num_items),
+                    naive_hybrid(raw[u], raw[v], ds_user_items(train, u),
+                                 ds_user_items(train, v), train.num_items),
                     abs=1e-9,
                 )
 
@@ -368,11 +377,11 @@ def test_index_rows_hold_each_users_items_and_each_items_users():
         ix = train.index
         for pos, u in enumerate(ix.user_ids.tolist()):
             row = ix.user_items[ix.user_ptr[pos]:ix.user_ptr[pos + 1]]
-            assert ix.item_ids[row].tolist() == [i for i, _ in train.by_user[u]]
+            assert ix.item_ids[row].tolist() == [i for i, _ in ds_by_user(train)[u]]
             assert ix.user_degree[pos] == len(row)
         for pos, i in enumerate(ix.item_ids.tolist()):
             row = ix.item_users[ix.item_ptr[pos]:ix.item_ptr[pos + 1]]
-            assert ix.user_ids[row].tolist() == sorted(train.item_users(i))
+            assert ix.user_ids[row].tolist() == sorted(ds_item_users(train, i))
             assert ix.item_degree[pos] == len(row)
 
 
@@ -641,7 +650,7 @@ def _pearson_instances():
 def test_pearson_row_equals_pearson_similarity_bit_for_bit():
     for train in _pearson_instances():
         users = train.users()
-        ratings = {u: dict(pairs) for u, pairs in train.by_user.items()}
+        ratings = {u: dict(pairs) for u, pairs in ds_by_user(train).items()}
         for u in users + [max(users) + 1]:  # the last one is absent from train
             row = similarity.pearson_row(u, train)
             want = [pearson_similarity(u, v, train) for v in users]
@@ -657,7 +666,7 @@ def test_pearson_row_equals_pearson_similarity_bit_for_bit():
 def test_item_ratings_line_up_with_item_users():
     for train in _pearson_instances():
         ix = train.index
-        ratings = {(r.user_id, r.item_id): r.rating for r in train.records}
+        ratings = {(r.user_id, r.item_id): r.rating for r in ds_records(train)}
         for pos, i in enumerate(ix.item_ids.tolist()):
             span = slice(ix.item_ptr[pos], ix.item_ptr[pos + 1])
             assert ix.item_ratings[span].tolist() == [
