@@ -40,9 +40,9 @@ RECOMMENDERS = {
 ALGORITHMS = tuple(RECOMMENDERS)
 
 
-def _opt(default, help_text: str):
-    """A RunConfig field; ``help_text`` becomes its flag's --help line."""
-    return field(default=default, metadata={"help": help_text})
+def _opt(default, help_text: str, at_least: int | None = None):
+    """A RunConfig field; ``help_text`` is its flag's --help line, ``at_least`` its least value."""
+    return field(default=default, metadata={"help": help_text, "at_least": at_least})
 
 
 @dataclass
@@ -52,15 +52,15 @@ class RunConfig:
     corpus: str | None = _opt(None, "item corpus: directory of <item_id>.txt or TSV file")
     stopwords: str | None = _opt(None, "stopword file, one token per line; none: the shipped list")
     out: str = _opt("out", "output directory")
-    topics: int = _opt(50, "number of topics T")
+    topics: int = _opt(50, "number of topics T", at_least=1)
     alpha_sum: float = _opt(50.0, "Dirichlet concentration sum")
     beta: float = _opt(0.01, "topic-word smoothing")
-    iterations: int = _opt(1000, "Gibbs sweeps")
-    lda_seed: int = _opt(1, "sampler seed")
-    min_df: int = _opt(1, "minimum document frequency for vocabulary")
+    iterations: int = _opt(1000, "Gibbs sweeps", at_least=1)
+    lda_seed: int = _opt(1, "sampler seed", at_least=0)
+    min_df: int = _opt(1, "minimum document frequency for vocabulary", at_least=1)
     fraction: float = _opt(0.8, "train fraction")
-    split_seed: int = _opt(1, "split seed")
-    neighbors: int = _opt(30, "neighborhood size N")
+    split_seed: int = _opt(1, "split seed", at_least=0)
+    neighbors: int = _opt(30, "neighborhood size N", at_least=1)
     like_threshold: float = _opt(1.0, "rating counted as liking; 1.0: any rating")
     max_k: int = _opt(75, "recommendations generated per user")
     ks: tuple[int, ...] = _opt(ev.DEFAULT_KS, "comma-separated K values")
@@ -72,18 +72,11 @@ class RunConfig:
             raise ConfigurationError(f"unknown format {self.format!r}")
         if not (0.0 < self.fraction < 1.0):
             raise ConfigurationError(f"fraction must be in (0, 1), got {self.fraction}")
-        if self.topics < 1:
-            raise ConfigurationError(f"topics must be >= 1, got {self.topics}")
+        for f in fields(self):
+            low, value = f.metadata["at_least"], getattr(self, f.name)
+            if low is not None and value < low:
+                raise ConfigurationError(f"{f.name} must be >= {low}, got {value}")
         lda.check_smoothing(self.alpha_sum, self.beta)
-        if self.iterations < 1:
-            raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
-        for key in ("lda_seed", "split_seed"):
-            if getattr(self, key) < 0:
-                raise ConfigurationError(f"{key} must be >= 0, got {getattr(self, key)}")
-        if self.min_df < 1:
-            raise ConfigurationError(f"min_df must be >= 1, got {self.min_df}")
-        if self.neighbors < 1:
-            raise ConfigurationError(f"neighbors must be >= 1, got {self.neighbors}")
         if not (RATING_MIN <= self.like_threshold <= RATING_MAX):
             raise ConfigurationError(
                 f"like_threshold must be in [{RATING_MIN}, {RATING_MAX}]"
@@ -133,7 +126,7 @@ def _parse_value(name: str, raw: str, where: str = ""):
 def read_config(path) -> RunConfig:
     """Parse a key=value config file into a RunConfig."""
     values = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(ingest.read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -233,18 +233,28 @@ class DocumentCorpus:
 class SplitPair:
     train: RatingDataset
     test: RatingDataset
-    seed: int
-    fraction: float
 
 
-def _open_text(source) -> tuple[IO[str], bool]:
-    """Returns (text stream, whether we own it and must close it)."""
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``, newlines as open() reads them; a
+    ParseError naming the file and the line of the first byte that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+        raise ParseError(len(exc.object[:exc.start + 1].splitlines()),
+                         f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 "
+                         f"({exc.reason})") from None
+
+
+def _source_text(source) -> str:
+    """The whole text of a path (read_text), or of a text or UTF-8 bytes stream."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
+        return read_text(source)
     if hasattr(source, "read"):
         if isinstance(source.read(0), bytes):
-            return io.TextIOWrapper(source, encoding="utf-8"), False
-        return source, False
+            return io.TextIOWrapper(source, encoding="utf-8").read()
+        return source.read()
     raise TypeError(f"unsupported source type: {type(source)!r}")
 
 
@@ -336,12 +346,7 @@ def parse_ratings(source, fmt: str = "movielens_dat") -> RatingDataset:
     """
     if fmt not in FORMATS:
         raise ConfigurationError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    fh, owned = _open_text(source)
-    try:
-        text = fh.read()
-    finally:
-        if owned:
-            fh.close()
+    text = _source_text(source)
     columns = _parse_columns(text, fmt)
     return _parse_lines(text, fmt) if columns is None else RatingDataset(columns)
 
@@ -404,18 +409,13 @@ def _corpus_entries(source) -> Iterator[tuple[str, str | Path]]:
         for entry in sorted(Path(source).iterdir()):
             yield (entry.stem if entry.is_file() and entry.suffix == ".txt" else ""), entry
         return
-    fh, owned = _open_text(source)
-    try:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            head, sep, text = line.rstrip("\n").partition("\t")
-            if not sep:
-                raise ParseError(line_no, "expected item_id<TAB>text")
-            yield head, text
-    finally:
-        if owned:
-            fh.close()
+    for line_no, line in enumerate(io.StringIO(_source_text(source)), start=1):
+        if not line.strip():
+            continue
+        head, sep, text = line.rstrip("\n").partition("\t")
+        if not sep:
+            raise ParseError(line_no, "expected item_id<TAB>text")
+        yield head, text
 
 
 def load_corpus(source) -> DocumentCorpus:
@@ -434,7 +434,7 @@ def load_corpus(source) -> DocumentCorpus:
             skipped += 1
             continue
         # A directory entry is read only once its stem has parsed as an id.
-        text = (text.read_text(encoding="utf-8") if isinstance(text, Path) else text).strip()
+        text = (read_text(text) if isinstance(text, Path) else text).strip()
         if not text:
             skipped += 1
             continue
@@ -457,8 +457,7 @@ def split_train_test(ds: RatingDataset, fraction: float, seed: int) -> SplitPair
     for user, start, end in zip(user_ids.tolist(), ptr.tolist(), ptr[1:].tolist()):
         order = np.random.default_rng([seed, user]).permutation(end - start)
         train[start + order[:math.floor(fraction * (end - start) + 0.5)]] = True
-    return SplitPair(RatingDataset(ds.columns.take(train)),
-                     RatingDataset(ds.columns.take(~train)), seed, fraction)
+    return SplitPair(RatingDataset(ds.columns.take(train)), RatingDataset(ds.columns.take(~train)))
 
 
 def dataset_summary(ds: RatingDataset) -> dict:

@@ -33,7 +33,8 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .ingest import ConfigurationError, DocumentCorpus, ParseError, float_reprs, loadtxt_or_none
+from .ingest import (ConfigurationError, DocumentCorpus, ParseError, float_reprs, loadtxt_or_none,
+                     read_text)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 PROGRESS_EVERY = 100  # sweeps between on_progress reports
@@ -65,7 +66,7 @@ def _parse_stopwords(text: str) -> frozenset[str]:
 
 def load_stopwords(path) -> frozenset[str]:
     """One token per line; blank lines and '#' comments ignored."""
-    return _parse_stopwords(Path(path).read_text(encoding="utf-8"))
+    return _parse_stopwords(read_text(path))
 
 
 def default_stopwords() -> frozenset[str]:
@@ -84,7 +85,6 @@ def tokenize(text: str, stopwords: frozenset[str] = frozenset()) -> list[str]:
 class Vocabulary:
     tokens: tuple[str, ...]              # index -> token, lexicographic
     token_to_index: dict[str, int]
-    doc_freq: tuple[int, ...]            # per token, aligned with `tokens`
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -123,7 +123,7 @@ def build_vocabulary(
         raise ConfigurationError("all documents empty after token filtering")
     index = {t: i for i, t in enumerate(kept)}
     docs = [[index[t] for t in toks if t in index] for toks in tokenized]
-    vocab = Vocabulary(tuple(kept), index, tuple(df[t] for t in kept))
+    vocab = Vocabulary(tuple(kept), index)
     return vocab, EncodedCorpus(docs, tuple(item_ids))
 
 
@@ -411,7 +411,7 @@ def read_topic_rows(path, zero_ok: bool = False) -> list[tuple[int, int, np.ndar
     first bad line.
     """
     lines = [(line_no, line) for line_no, line
-             in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1)
+             in enumerate(read_text(path).splitlines(), 1)
              if line.strip() and not line.startswith("#")]
     rows = _topic_columns(lines, zero_ok)
     return _topic_lines(path, lines, zero_ok) if rows is None else rows

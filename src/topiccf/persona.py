@@ -9,6 +9,7 @@ documented get an undefined persona.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -30,7 +31,7 @@ class UserPersona:
 
 
 def _personas(user_ids: np.ndarray, rows: np.ndarray, items: np.ndarray, ratings: np.ndarray,
-              profiles: Mapping[int, ItemTopicProfile]) -> dict[int, UserPersona]:
+              profiles: Mapping[int, ItemTopicProfile]) -> Mapping[int, UserPersona]:
     """The persona of each of the ascending ``user_ids``: rating j is user
     ``user_ids[rows[j]]``'s rating ``ratings[j]`` of item ``items[j]``, with
     each user's ratings in the order they are added.
@@ -39,7 +40,7 @@ def _personas(user_ids: np.ndarray, rows: np.ndarray, items: np.ndarray, ratings
     their mix adds (r / total) * theta row in the same order: np.bincount and
     np.add.at add in input order, and the mix starts from -0.0, which gives
     back each first term as it is, so the bits are those of the per-user loop.
-    The distributions are rows of one read-only (users x T) block.
+    The map is read-only, its distributions rows of one read-only (users x T) block.
     """
     profiled = np.array(sorted(profiles), dtype=np.int64)
     block = (np.array([profiles[i].distribution for i in profiled.tolist()], dtype=float)
@@ -55,8 +56,8 @@ def _personas(user_ids: np.ndarray, rows: np.ndarray, items: np.ndarray, ratings
         np.add.at(acc_t, rows, weight * topic[pos])
     mix = np.ascontiguousarray(acc.T)
     mix.flags.writeable = False
-    return {u: UserPersona(u, mix[j] if n else None, documented_item_count=n)
-            for j, (u, n) in enumerate(zip(user_ids.tolist(), count.tolist()))}
+    return MappingProxyType({u: UserPersona(u, mix[j] if n else None, documented_item_count=n)
+                             for j, (u, n) in enumerate(zip(user_ids.tolist(), count.tolist()))})
 
 
 def build_persona(
@@ -76,7 +77,7 @@ def build_persona(
 def build_all_personas(
     train: RatingDataset,
     profiles: Mapping[int, ItemTopicProfile],
-) -> dict[int, UserPersona]:
+) -> Mapping[int, UserPersona]:
     """One persona per train user, keyed by user_id, from the ratings in item order."""
     user_ids, ptr = train.user_runs
     rows = np.repeat(np.arange(len(user_ids)), np.diff(ptr))
@@ -100,9 +101,9 @@ def write_personas_csv(personas: Mapping[int, UserPersona], path) -> None:
         fh.write(f"#undefined:{undefined_count(personas)}\n")
 
 
-def load_personas_csv(path) -> dict[int, UserPersona]:
+def load_personas_csv(path) -> Mapping[int, UserPersona]:
     """Inverse of write_personas_csv; all-zero and empty rows come back undefined.
     documented_item_count is not persisted, so loaded personas carry None.
     Any other row must sum to 1, or it is a ParseError naming its line."""
-    return {u: UserPersona(u, dist) if dist.any() else UserPersona(u, None, documented_item_count=0)
-            for _, u, dist in lda.read_topic_rows(path, zero_ok=True)}
+    return MappingProxyType({u: UserPersona(u, dist) if dist.any() else UserPersona(u, None, 0)
+                             for _, u, dist in lda.read_topic_rows(path, zero_ok=True)})

@@ -16,9 +16,9 @@ one-candidate case; the hybrid rule has one too.
 
 The symmetric KL is a fixed-order sum over the topics, taken elementwise over
 a T-major block of floored candidate distributions and their logs, which the
-topic row builds once per persona map. No BLAS call or numpy reduction decides
-a bit, so a topic score does not depend on which kernels numpy picks for the
-CPU.
+topic row builds once per read-only persona map. No BLAS call or numpy
+reduction decides a bit, so a topic score does not depend on which kernels
+numpy picks for the CPU.
 
 Every log and exp, of G2 and of the topic term, is libm's log or exp, the
 functions math.log and math.exp call: _log and _exp map them over an array in
@@ -29,7 +29,7 @@ used, because their SIMD loops differ from libm in the last bit.
 from __future__ import annotations
 
 import math
-import operator
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -263,10 +263,9 @@ class _Block(NamedTuple):
     lq: np.ndarray | None
 
 
-# One slot: (train.index, its user ids as a list, the persona of each or None,
-# their _Block). The key holds the objects, so an identity compare cannot match
-# a new object at a recycled address; a persona replaced or deleted since is a miss.
-_block_memo: list = [None, [], [], None]
+# One slot: (train.index, a read-only persona map, their _Block). The key holds
+# the objects, so an identity compare cannot match a new object at a recycled address.
+_block_memo: list = [None, None, None]
 
 
 def _t_major(dists: list) -> np.ndarray | None:
@@ -280,25 +279,21 @@ def _t_major(dists: list) -> np.ndarray | None:
 
 
 def _candidate_block(personas: Mapping[int, UserPersona], train: RatingDataset) -> _Block:
-    """The _Block of train's users in personas, built on the first call for
-    a persona map and kept until another map or another train set comes.
-
-    A persona is frozen, so a new distribution comes as a new persona object,
-    which the memo sees; a distribution changed in place is not seen, and the
-    personas topiccf builds or loads hold read-only ones."""
+    """The _Block of train's users in personas. A read-only map (a MappingProxyType,
+    as build_all_personas and load_personas_csv return) is taken not to change, so a
+    proxy over a dict that is still edited must not be passed: its block is kept until
+    another map or train set comes. Any other Mapping gets a new block on every call."""
     ix = train.index
-    memo_ix, ids, memo_cands, block = _block_memo
-    if memo_ix is not ix:
-        ids = ix.user_ids.tolist()
-    cands = list(map(personas.get, ids))
-    if memo_ix is ix and all(map(operator.is_, memo_cands, cands)):
-        return block
-    _block_memo[:] = [None, [], [], None]  # the old block goes before a new one is built
+    if _block_memo[0] is ix and _block_memo[1] is personas:
+        return _block_memo[2]
+    _block_memo[:] = [None, None, None]  # the old block goes before a new one is built
+    cands = list(map(personas.get, ix.user_ids.tolist()))
     pos = [i for i, q in enumerate(cands) if q is not None and q.defined]
     q = _t_major([cands[i].distribution for i in pos])
     q, lq = (None, None) if q is None else _floored_log(q)
     block = _Block(np.array(pos, dtype=np.intp), q, lq)
-    _block_memo[:] = [ix, ids, cands, block]
+    if isinstance(personas, MappingProxyType):
+        _block_memo[:] = [ix, personas, block]
     return block
 
 
@@ -307,8 +302,9 @@ def topic_row(user: int, personas: Mapping[int, UserPersona], train: RatingDatas
     NaN where undefined. Raises the ValueError topic_similarity raises on the
     first bad pair.
 
-    The candidates' floored distributions and logs come from one T-major block
-    per persona map (_candidate_block); _kl_rows scores them all at once.
+    The candidates' floored distributions and logs come from one T-major block,
+    kept per read-only persona map (_candidate_block); _kl_rows scores them all
+    at once.
     """
     ids = train.index.user_ids
     values = np.full(len(ids), np.nan)

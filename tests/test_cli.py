@@ -568,3 +568,76 @@ def test_train_says_which_gibbs_sweep_ran(tiny_inputs, tmp_path, capsys, monkeyp
         assert main(["train"] + args) == 0
         assert f"gibbs: {sweep}" in capsys.readouterr().out.splitlines()
         assert not any(sweep in path.read_text() for path in out.iterdir())
+
+
+def _not_utf8(path, line_no, bad):
+    """Rewrite the text file at ``path`` with the byte ``bad`` at the end of line ``line_no``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1] += bad
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("stage,name,bad", [
+    ("split", "ratings", b"\xff"),
+    ("train", "corpus", b" caf\xe9"),  # Latin-1, as the ML-1M movies.dat is
+    ("train", "corpus_dir", b" caf\xe9"),
+    ("train", "stopwords", b"\xe9"),
+    ("split", "config", b"\xff"),
+], ids=["ratings", "corpus-tsv", "corpus-dir-file", "stopwords", "config"])
+def test_outside_input_not_utf8_exits_2_naming_file_and_line(tiny_inputs, tmp_path, capsys,
+                                                              stage, name, bad):
+    ratings, corpus = tiny_inputs
+    out = tmp_path / "out"
+    args = _base_args(ratings, corpus, out)
+    bad_file = {"ratings": ratings, "corpus": corpus}.get(name)
+    if name == "corpus_dir":
+        (tmp_path / "docs").mkdir()
+        for line in corpus.read_text().splitlines():
+            item, text = line.split("\t")
+            (tmp_path / "docs" / f"{item}.txt").write_text(f"{text}\nmore\n")
+        bad_file = tmp_path / "docs" / "3.txt"
+        args += ["--corpus", str(tmp_path / "docs")]
+    elif name in ("stopwords", "config"):
+        bad_file = tmp_path / f"{name}.txt"
+        bad_file.write_text("the\nand\n" if name == "stopwords" else "topics=2\nneighbors=3\n")
+        args += [f"--{name}", str(bad_file)]
+    _not_utf8(bad_file, 2, bad)
+    assert main([stage] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 2: {bad_file}: byte 0x{bad[-1]:02x} is not UTF-8")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage,upstream,name", [
+    ("personas", ["split", "train"], "train.csv"),
+    ("personas", ["split", "train"], "theta.csv"),
+    ("evaluate", ["split", "train", "personas"], "test.csv"),
+    ("evaluate", ["split", "train", "personas"], "personas.csv"),
+])
+def test_stage_csv_not_utf8_exits_2_naming_file_and_line(tiny_inputs, tmp_path, capsys,
+                                                          stage, upstream, name):
+    ratings, corpus = tiny_inputs
+    out = tmp_path / "out"
+    args = _base_args(ratings, corpus, out) + ["--algorithms", "hybrid"]
+    for step in upstream:
+        assert main([step] + args) == 0
+    _not_utf8(out / name, 3, b"\xff")
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert main([stage] + args) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: line 3: {out / name}: byte 0xff is not UTF-8")
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
+@pytest.mark.parametrize("key,low", [
+    ("topics", 1), ("iterations", 1), ("lda_seed", 0), ("split_seed", 0),
+    ("min_df", 1), ("neighbors", 1),
+])
+def test_value_below_its_lower_bound_exits_2(tmp_path, capsys, key, low):
+    flag = "--" + key.replace("_", "-")
+    rc = main(["split", "--out", str(tmp_path / "out"), "--ratings", "x.csv", flag, str(low - 1)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {key} must be >= {low}, got {low - 1}\n"
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
 import io
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +205,19 @@ def test_load_corpus_tsv_line_without_tab_names_the_line():
     assert exc.value.line_no == 3
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_load_corpus_file_reads_any_newline_as_a_line_end(tmp_path, newline):
+    text = "3\tplot three\n\n4\tplot\tfour\n"
+    (tmp_path / "lf.tsv").write_text(text, newline="")
+    (tmp_path / "other.tsv").write_text(text.replace("\n", newline), newline="")
+    want = load_corpus(tmp_path / "lf.tsv")
+    assert want.docs == {3: "plot three", 4: "plot\tfour"}
+    assert load_corpus(tmp_path / "other.tsv") == want
+    with pytest.raises(ParseError) as exc:
+        load_corpus(io.BytesIO(text.replace("\n", newline).encode() + b"5 no tab"))
+    assert exc.value.line_no == 4
+
+
 def test_load_corpus_empty_directory(tmp_path):
     corpus = load_corpus(tmp_path)
     assert len(corpus) == 0
@@ -303,14 +317,15 @@ def test_dataset_summary():
 def _line_parsed(source, fmt):
     """What parse_ratings returned before it had a fast path: the line parser over
     the source's lines, as the source's own iteration splits them."""
-    fh, owned = ingest._open_text(source)
-    try:
-        return RatingDataset(ingest._parse_line(line, fmt, line_no)
-                             for line_no, line in enumerate(map(str.strip, fh), start=1)
-                             if line)
-    finally:
-        if owned:
-            fh.close()
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            lines = list(fh)
+    else:
+        lines = list(io.TextIOWrapper(source, encoding="utf-8")
+                     if isinstance(source.read(0), bytes) else source)
+    return RatingDataset(ingest._parse_line(line, fmt, line_no)
+                         for line_no, line in enumerate(map(str.strip, lines), start=1)
+                         if line)
 
 
 def _sources(text, tmp_path):

@@ -529,7 +529,7 @@ def _hand_model():
     """Estimates with repeated values, -0.0 beside 0.0, a scientific repr and a
     phi value exactly at save_phi's 1e-6 threshold."""
     tokens = ("alpha", "beta", "gamma", "delta")
-    vocab = Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}, (1, 1, 1, 1))
+    vocab = Vocabulary(tokens, {t: i for i, t in enumerate(tokens)})
     theta = np.array([[0.25, 0.25, 0.5], [0.5, -0.0, 0.5], [1e-16, 0.0, 1.0 - 1e-16],
                       [0.1, 0.2, 0.7]])
     phi = np.array([[1e-6, 0.5, 0.5 - 1e-6, 0.0], [0.25, 0.25, 0.25, 0.25],

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topiccf.ingest import RatingDataset, RatingRecord
-from topiccf import lda, similarity
+from topiccf import lda, persona, similarity
+from topiccf.lda import ItemTopicProfile
 from topiccf.persona import UserPersona
 from topiccf.similarity import (
     hybrid_similarity,
@@ -471,11 +472,11 @@ def test_topic_row_sees_personas_replaced_or_deleted_between_calls():
     train, personas = next(_row_instances())
     users = train.users()
     defined = [u for u in users if u in personas and personas[u].defined]
-    u, v, w = defined[1], defined[2], defined[3]
+    u, v, w, x = defined[1], defined[2], defined[3], defined[4]
 
     def pairwise():
-        return [_value_or_none(topic_similarity(personas.get(u), personas.get(x)))
-                for x in users]
+        return [_value_or_none(topic_similarity(personas.get(u), personas.get(c)))
+                for c in users]
 
     def row():
         r = similarity.topic_row(u, personas, train)
@@ -493,6 +494,43 @@ def test_topic_row_sees_personas_replaced_or_deleted_between_calls():
     assert row() == pairwise() and row()[users.index(v)] is None
     personas = dict(personas)  # a copy of the map: the same persona objects
     assert row() == pairwise()
+    before = row()[users.index(x)]
+    personas[x].distribution[:] = [0.97, 0.01, 0.01, 0.01]  # a writable array, edited in place
+    after = row()
+    assert after == pairwise() and after[users.index(x)] != before
+
+
+def test_topic_row_builds_one_block_per_read_only_persona_map(tmp_path, monkeypatch):
+    # build_all_personas and load_personas_csv give read-only maps, whose block is
+    # built once; a dict copy of one gets a new block on every row.
+    rng = np.random.default_rng(11)
+    train = random_dataset(rng, max_users=30, max_items=40, density=0.2)
+    users, items = train.users(), train.items()
+    profiles = {i: ItemTopicProfile(i, d)  # the first item undocumented
+                for i, d in zip(items[1:], rng.dirichlet(np.ones(4), len(items) - 1))}
+    built = persona.build_all_personas(train, profiles)
+    persona.write_personas_csv(built, tmp_path / "personas.csv")
+    loaded = persona.load_personas_csv(tmp_path / "personas.csv")
+    t_major, calls = similarity._t_major, []
+    monkeypatch.setattr(similarity, "_t_major", lambda dists: calls.append(1) or t_major(dists))
+    for personas in (built, loaded):
+        with pytest.raises(TypeError):
+            personas[users[0]] = UserPersona(users[0], None, 0)
+        defined = [u for u in users if personas[u].defined]
+        assert 0 < len(defined) and all(
+            not personas[u].distribution.flags.writeable for u in defined)
+        calls.clear()
+        for u in users:
+            row = similarity.topic_row(u, personas, train)
+            want = [topic_similarity(personas[u], personas.get(v)) for v in users]
+            assert (~np.isnan(row)).tolist() == [s.defined for s in want]
+            assert row[~np.isnan(row)].tolist() == [s.value for s in want if s.defined]
+        assert len(calls) == 1
+        copy = dict(personas)
+        calls.clear()
+        for u in users:
+            similarity.topic_row(u, copy, train)
+        assert len(calls) == len(defined)
 
 
 _TOPIC_ROW_DIGEST = """
@@ -594,7 +632,6 @@ def test_rows_on_the_math_fallback_equal_the_native_rows(monkeypatch):
     users, items = train.users(), train.items()
 
     def rows():
-        similarity._block_memo[:] = [None, [], [], None]  # the topic block is built anew
         return [_bits(f(u, personas, train)) for f in (similarity.topic_row,
                                                        similarity.hybrid_row) for u in users] + [
             _bits(similarity.llr_row(u, train)) for u in users] + [
