@@ -340,15 +340,17 @@ def main(argv=None) -> int:
                 raise ConfigurationError(f"missing input {path} ({_flag(key)})")
         out = Path(cfg.out)
         _require_inputs(out, stage.reads)
-        fresh = not out.exists()
+        made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
         try:
             # Looked up when called, so a wrapper installed on cli.cmd_<stage> runs.
             globals()[f"cmd_{args.command}"](
                 cfg, out, **{s: getattr(args, s) for s in stage.switches})
         except BaseException:
-            if fresh and not any(out.iterdir()):
-                out.rmdir()  # a stage that fails before writing leaves no directory behind
+            for d in made:  # a stage that fails before writing leaves no new directory behind
+                if any(d.iterdir()):
+                    break
+                d.rmdir()
             raise
         write_config(cfg, out / "config.txt")
     except (ConfigurationError, ingest.ParseError, ingest.RatingRangeError, OSError) as exc:

@@ -122,13 +122,17 @@ class RatingIndex(NamedTuple):
     item_degree: np.ndarray
 
 
+def position(ids: np.ndarray, id_: int) -> int | None:
+    """The position of ``id_`` in the ascending ``ids``; None when it is not there."""
+    pos = int(np.searchsorted(ids, id_))
+    return pos if pos < len(ids) and ids[pos] == id_ else None
+
+
 def csr_row(ptr: np.ndarray, ids: np.ndarray, id_: int) -> slice:
     """The slice of a CSR column array holding the row of the entity with id
     ``id_``; empty when it is not in ``ids``."""
-    pos = int(np.searchsorted(ids, id_))
-    if pos == len(ids) or ids[pos] != id_:
-        return slice(0, 0)
-    return slice(int(ptr[pos]), int(ptr[pos + 1]))
+    pos = position(ids, id_)
+    return slice(0, 0) if pos is None else slice(int(ptr[pos]), int(ptr[pos + 1]))
 
 
 def csr_entries(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -248,12 +252,16 @@ def read_text(path) -> str:
 
 
 def _source_text(source) -> str:
-    """The whole text of a path (read_text), or of a text or UTF-8 bytes stream."""
+    """The whole text of a path (read_text), or of a text or UTF-8 bytes stream, left open."""
     if isinstance(source, (str, Path)):
         return read_text(source)
     if hasattr(source, "read"):
         if isinstance(source.read(0), bytes):
-            return io.TextIOWrapper(source, encoding="utf-8").read()
+            text = io.TextIOWrapper(source, encoding="utf-8")
+            try:
+                return text.read()
+            finally:
+                text.detach()  # else the wrapper closes the caller's stream when collected
         return source.read()
     raise TypeError(f"unsupported source type: {type(source)!r}")
 

@@ -9,10 +9,11 @@ the product of the topic term and the LLR term.
 Each measure also has a batch form that scores one user (or one item)
 against every train user (or item) at once, in ``train.index`` order.
 Every float a batch form gives equals the per-pair function's bit for bit:
-G2 and the LLR score have one definition, over many tables, of which a
-per-pair LLR is the one-table case; Pearson and the symmetric KL each have
-one, over many candidates, of which the per-pair function is the
-one-candidate case; the hybrid rule has one too.
+a per-pair Pearson, LLR or item-LLR value is the entry of its batch row
+(pearson_row, llr_row, item_llr_col), so co-rated items are gathered one way,
+by the rating index; the symmetric KL has one definition, over many
+candidates, of which symmetric_kl is the one-candidate case; the hybrid rule
+has one too.
 
 The symmetric KL is a fixed-order sum over the topics, taken elementwise over
 a T-major block of floored candidate distributions and their logs, which the
@@ -35,7 +36,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import lda
-from .ingest import RatingDataset, csr_entries, csr_row
+from .ingest import RatingDataset, csr_entries, csr_row, position
 from .lda import rows_sum_to_one, sums_to_one
 from .persona import UserPersona
 
@@ -133,15 +134,15 @@ def topic_similarity(u: UserPersona | None, v: UserPersona | None) -> Similarity
 def pearson_similarity(u: int, v: int, train: RatingDataset) -> SimilarityScore:
     """Pearson correlation over co-rated items, each user centered on their own
     mean over that subset. Undefined below 2 co-rated items or at zero variance.
-    _pearson_rows of the one candidate v."""
-    ix = train.index
-    a = csr_row(ix.user_ptr, ix.user_ids, u)
-    b = csr_row(ix.user_ptr, ix.user_ids, v)
-    _, ia, ib = np.intersect1d(ix.user_items[a], ix.user_items[b], assume_unique=True,
-                               return_indices=True)  # co-rated, in item order
-    x, y = train.columns.rating[a][ia], train.columns.rating[b][ib]
-    value = float(_pearson_rows(x, y, np.zeros(len(x), dtype=np.intp), 1)[0])
+    pearson_row(u) at v."""
+    value = _entry(pearson_row(u, train), train.index.user_ids, v, math.nan)
     return UNDEFINED if math.isnan(value) else SimilarityScore(value)
+
+
+def _entry(row: np.ndarray, ids: np.ndarray, id_: int, absent: float) -> float:
+    """row's value at id_'s position in ids; ``absent`` when id_ is not there."""
+    pos = position(ids, id_)
+    return absent if pos is None else float(row[pos])
 
 
 def _pearson_rows(x: np.ndarray, y: np.ndarray, cand: np.ndarray, size: int) -> np.ndarray:
@@ -180,28 +181,19 @@ def pearson_row(user: int, train: RatingDataset) -> np.ndarray:
     return _pearson_rows(x, ix.item_ratings[entries], ix.item_users[entries], len(ix.user_ids))
 
 
-def _llr(ptr: np.ndarray, ids: np.ndarray, cols: np.ndarray, a: int, b: int,
-         universe: int) -> SimilarityScore:
-    """_llr_rows of the one table of the CSR rows of ids a and b."""
-    ra, rb = cols[csr_row(ptr, ids, a)], cols[csr_row(ptr, ids, b)]
-    k11 = np.intersect1d(ra, rb, assume_unique=True).size
-    return SimilarityScore(float(_llr_rows(np.array([k11]), len(ra), len(rb), universe)[0]))
-
-
 def llr_similarity(u: int, v: int, train: RatingDataset) -> SimilarityScore:
     """Log-likelihood-ratio association of the two users' item sets, in [0, 1).
 
     The table counts co-rated items, each user's exclusive items, and the rest
     of the item universe. Always defined; independence gives exactly 0.
+    llr_row(u) at v.
     """
-    ix = train.index
-    return _llr(ix.user_ptr, ix.user_ids, ix.user_items, u, v, train.num_items)
+    return SimilarityScore(_entry(llr_row(u, train), train.index.user_ids, v, 0.0))
 
 
 def item_llr_similarity(i: int, j: int, train: RatingDataset) -> SimilarityScore:
-    """llr_similarity with the roles of users and items swapped."""
-    ix = train.index
-    return _llr(ix.item_ptr, ix.item_ids, ix.item_users, i, j, train.num_users)
+    """llr_similarity with the roles of users and items swapped: item_llr_col(j) at i."""
+    return SimilarityScore(_entry(item_llr_col(j, train), train.index.item_ids, i, 0.0))
 
 
 def _g2_rows(k11: np.ndarray, k12: np.ndarray, k21: np.ndarray, k22: np.ndarray) -> np.ndarray:
@@ -252,18 +244,7 @@ def item_llr_col(item: int, train: RatingDataset) -> np.ndarray:
     return _llr_rows(k11, ix.item_degree, len(users), train.num_users)
 
 
-class _Block(NamedTuple):
-    """The defined candidate personas of a persona map, in index order: their
-    positions, and their floored distributions and logs as T-major blocks;
-    q and lq are None unless every one is a 1-D distribution of one width
-    that sums to 1."""
-
-    pos: np.ndarray
-    q: np.ndarray | None
-    lq: np.ndarray | None
-
-
-# One slot: (train.index, a read-only persona map, their _Block). The key holds
+# One slot: (train.index, a read-only persona map, their block). The key holds
 # the objects, so an identity compare cannot match a new object at a recycled address.
 _block_memo: list = [None, None, None]
 
@@ -278,11 +259,15 @@ def _t_major(dists: list) -> np.ndarray | None:
     return np.ascontiguousarray(rows.T) if rows_sum_to_one(rows).all() else None
 
 
-def _candidate_block(personas: Mapping[int, UserPersona], train: RatingDataset) -> _Block:
-    """The _Block of train's users in personas. A read-only map (a MappingProxyType,
-    as build_all_personas and load_personas_csv return) is taken not to change, so a
-    proxy over a dict that is still edited must not be passed: its block is kept until
-    another map or train set comes. Any other Mapping gets a new block on every call."""
+def _candidate_block(personas: Mapping[int, UserPersona], train: RatingDataset):
+    """The defined personas of train's users, in index order: their positions, and
+    their floored distributions and logs as T-major blocks, as (pos, q, lq); None
+    unless there is at least one and each is a 1-D distribution of one width that sums to 1.
+
+    A read-only map (a MappingProxyType, as build_all_personas and load_personas_csv
+    return) is taken not to change, so a proxy over a dict that is still edited must
+    not be passed: its block is kept until another map or train set comes. Any other
+    Mapping gets a new block on every call."""
     ix = train.index
     if _block_memo[0] is ix and _block_memo[1] is personas:
         return _block_memo[2]
@@ -290,8 +275,7 @@ def _candidate_block(personas: Mapping[int, UserPersona], train: RatingDataset) 
     cands = list(map(personas.get, ix.user_ids.tolist()))
     pos = [i for i, q in enumerate(cands) if q is not None and q.defined]
     q = _t_major([cands[i].distribution for i in pos])
-    q, lq = (None, None) if q is None else _floored_log(q)
-    block = _Block(np.array(pos, dtype=np.intp), q, lq)
+    block = None if q is None else (np.array(pos, dtype=np.intp), *_floored_log(q))
     if isinstance(personas, MappingProxyType):
         _block_memo[:] = [ix, personas, block]
     return block
@@ -312,16 +296,14 @@ def topic_row(user: int, personas: Mapping[int, UserPersona], train: RatingDatas
     if p is None or not p.defined:
         return values
     block = _candidate_block(personas, train)
-    if not len(block.pos):
-        return values
     d = np.array(p.distribution, dtype=float)
-    if block.q is None or d.shape != block.q.shape[:1] or not sums_to_one(d):
-        # some pair is bad: walk the pairs, raising topic_similarity's first error
+    if block is None or d.shape != block[1].shape[:1] or not sums_to_one(d):
+        # no defined candidate or a bad pair: walk the pairs, raising topic_similarity's first error
         values[:] = [_value(topic_similarity(p, personas.get(v))) for v in ids.tolist()]
         return values
+    pos, q, lq = block
     fp, lp = _floored_log(d.reshape(-1, 1))
-    kl = _kl_rows(fp[:, 0], lp[:, 0], block.q, block.lq)
-    values[block.pos] = _exp(-kl)
+    values[pos] = _exp(-_kl_rows(fp[:, 0], lp[:, 0], q, lq))
     return values
 
 

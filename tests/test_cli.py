@@ -609,6 +609,25 @@ def test_outside_input_not_utf8_exits_2_naming_file_and_line(tiny_inputs, tmp_pa
     assert not out.exists()
 
 
+def test_failing_stage_removes_every_directory_it_created(tiny_inputs, tmp_path, capsys):
+    # The stage makes <tmp>/o/p/x; each is removed, deepest first, while empty.
+    # A directory that was there before stays, and so does anything in it.
+    ratings, _ = tiny_inputs
+    _not_utf8(ratings, 2, b"\xff")
+    split = ["split", "--format", "csv", "--ratings", str(ratings), "--out"]
+    assert main(split + [str(tmp_path / "o" / "p" / "x")]) == 2
+    assert not (tmp_path / "o").exists()
+    (tmp_path / "kept").mkdir()
+    assert main(split + [str(tmp_path / "kept" / "p" / "x")]) == 2
+    assert (tmp_path / "kept").is_dir() and not any((tmp_path / "kept").iterdir())
+    (tmp_path / "full" / "p").mkdir(parents=True)
+    (tmp_path / "full" / "note.txt").write_text("mine\n")
+    assert main(split + [str(tmp_path / "full" / "p" / "q" / "x")]) == 2
+    assert sorted(p.name for p in (tmp_path / "full").iterdir()) == ["note.txt", "p"]
+    assert not any((tmp_path / "full" / "p").iterdir())
+    assert capsys.readouterr().err.count("is not UTF-8") == 3
+
+
 @pytest.mark.parametrize("stage,upstream,name", [
     ("personas", ["split", "train"], "train.csv"),
     ("personas", ["split", "train"], "theta.csv"),

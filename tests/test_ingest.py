@@ -46,6 +46,19 @@ def test_parse_accepts_bytes_stream():
     assert ds.num_items == 1
 
 
+def test_a_callers_bytes_stream_stays_open():
+    ratings = io.BytesIO(b"1::2::4::0\n2::2::3::0\n")
+    assert len(parse_ratings(ratings, "movielens_dat")) == 2
+    corpus = io.BytesIO(b"3\tplot three\n")
+    assert load_corpus(corpus).docs == {3: "plot three"}
+    assert not ratings.closed and not corpus.closed
+    assert ratings.read() == corpus.read() == b""  # each was read to its end
+    bad = io.BytesIO(b"1::2::4::0\n\xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        parse_ratings(bad, "movielens_dat")
+    assert not bad.closed
+
+
 def test_duplicates_keep_last_and_count():
     ds = parse_ratings(io.StringIO("1,5,2.0\n1,5,4.0\n1,6,3.0\n"), "csv")
     assert ds.duplicates_dropped == 1

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -717,3 +718,38 @@ def test_pearson_means_are_left_to_right_sums():
     train = _ds({1: [(10, 1.1), (11, 4.1), (12, 1.1)], 2: [(10, 1.0), (11, 1.0), (12, 2.0)]})
     assert pearson_similarity(1, 2, train) == (-0.5, True)
     assert similarity.pearson_row(1, train).tolist() == [1.0, -0.5]
+
+
+# ---------- per-pair values are entries of the rows ----------
+
+def test_per_pair_values_with_an_id_absent_from_train():
+    # Whichever side the absent id is on: Pearson is undefined, and LLR and
+    # item-LLR are exactly +0.0, the value of the table with an empty row.
+    for train, _ in _row_instances():
+        users, items = train.users(), train.items()
+        for absent in (0, max(users) + 1):
+            for u in users[:5] + [absent]:
+                for a, b in ((u, absent), (absent, u)):
+                    assert pearson_similarity(a, b, train) == similarity.UNDEFINED
+                    s = llr_similarity(a, b, train)
+                    assert s == (0.0, True) and math.copysign(1.0, s.value) == 1.0
+        for absent in (0, max(items) + 1):
+            for i in items[:5] + [absent]:
+                for a, b in ((i, absent), (absent, i)):
+                    s = item_llr_similarity(a, b, train)
+                    assert s == (0.0, True) and math.copysign(1.0, s.value) == 1.0
+
+
+def test_topic_row_without_a_defined_candidate_is_all_nan():
+    # No train user has a defined persona; a user outside train does.
+    train, _ = next(_row_instances())
+    users = train.users()
+    outsider = max(users) + 1
+    mine = {u: UserPersona(u, None, documented_item_count=0) for u in users[::2]}
+    mine[outsider] = _persona(outsider, [0.25, 0.25, 0.25, 0.25])
+    for personas in (mine, MappingProxyType(dict(mine))):
+        for u in users + [outsider]:
+            row = similarity.topic_row(u, personas, train)
+            assert row.shape == (len(users),) and np.isnan(row).all()
+            assert similarity.hybrid_row(u, personas, train).tolist() == (
+                similarity.llr_row(u, train).tolist())
