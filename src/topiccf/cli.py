@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -191,6 +192,9 @@ def cmd_split(cfg: RunConfig, out: Path) -> None:
 
 def cmd_train(cfg: RunConfig, out: Path) -> None:
     corpus = ingest.load_corpus(cfg.corpus)
+    if corpus.skipped:
+        print(f"warning: {corpus.skipped} corpus entries skipped "
+              f"(non-integer id, directory entry not a .txt file, or empty text)")
     if not corpus.docs:
         raise ConfigurationError(f"no documents loaded from {cfg.corpus}")
     stops = lda.load_stopwords(cfg.stopwords) if cfg.stopwords else lda.default_stopwords()
@@ -248,24 +252,19 @@ def cmd_evaluate(cfg: RunConfig, out: Path, per_user_detail: bool = False,
 
     reports = []
     for algo in selected:
-        _, recommender = RECOMMENDERS[algo]
-        rec_lists = {u: recommender(u, train, personas, cfg) for u in test.users()}
+        rec_lists = {u: RECOMMENDERS[algo][1](u, train, personas, cfg) for u in test.users()}
         recommend.write_recommendations_csv(rec_lists, out / f"recs_{algo}.csv")
 
-        detail_fh = None
-        if per_user_detail:
-            detail_fh = open(out / f"per_user_{algo}.csv", "w", encoding="utf-8")
-            detail_fh.write("user_id,K,precision,recall,f\n")
-        try:
+        with (open(out / f"per_user_{algo}.csv", "w", encoding="utf-8") if per_user_detail
+              else nullcontext()) as detail_fh:
+            if detail_fh:
+                detail_fh.write("user_id,K,precision,recall,f\n")
             rows = ev.evaluate_sweep(
                 lambda u: rec_lists[u], train, test,
                 Ks=cfg.ks, max_K=cfg.max_k,
                 relevance_threshold=cfg.relevance_threshold,
                 detail_sink=detail_fh,
             )
-        finally:
-            if detail_fh:
-                detail_fh.close()
         reports.append(ev.EvalReport(algo, rows))
         at = rows[0]
         print(f"{algo}: precision@{at.K}={at.precision:.4f} recall@{at.K}={at.recall:.4f} "

@@ -7,7 +7,9 @@ f-measure is computed per user and then averaged.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -81,24 +83,18 @@ def evaluate_sweep(
                         in zip(user_ids.tolist(), bounds.tolist(), bounds[1:].tolist())
                         if end > start}
 
-    sums = {k: [0.0, 0.0, 0.0] for k in Ks}
+    sums = {k: (0.0, 0.0, 0.0) for k in Ks}  # precision, recall, f
     for user, relevant in relevant_by_user.items():
         items = recommender(user).item_ids()
         for k in Ks:
             p, r = precision_recall_at_k(items[:k], relevant)
             f = f_measure(p, r)
-            sums[k][0] += p
-            sums[k][1] += r
-            sums[k][2] += f
+            sums[k] = tuple(map(add, sums[k], (p, r, f)))
             if detail_sink is not None:
                 detail_sink.write(f"{user},{k},{p!r},{r!r},{f!r}\n")
 
     n = len(relevant_by_user)
-    return [
-        EvalRow(k, sums[k][0] / n if n else 0.0, sums[k][1] / n if n else 0.0,
-                sums[k][2] / n if n else 0.0, n)
-        for k in Ks
-    ]
+    return [EvalRow(k, *(total / n if n else 0.0 for total in sums[k]), n) for k in Ks]
 
 
 def emit_report(reports: EvalReport | Iterable[EvalReport], sink) -> None:
@@ -107,8 +103,7 @@ def emit_report(reports: EvalReport | Iterable[EvalReport], sink) -> None:
     if isinstance(reports, EvalReport):
         reports = [reports]
     own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
-    fh = open(sink, "w", encoding="utf-8") if own else sink
-    try:
+    with open(sink, "w", encoding="utf-8") if own else nullcontext(sink) as fh:
         fh.write("# precision_denominator=actual_list_length\n")
         fh.write("algorithm,K,precision,recall,f_measure,users\n")
         for report in reports:
@@ -117,6 +112,3 @@ def emit_report(reports: EvalReport | Iterable[EvalReport], sink) -> None:
                     f"{report.algorithm},{row.K},{row.precision:.6f},"
                     f"{row.recall:.6f},{row.f_measure:.6f},{row.users_evaluated}\n"
                 )
-    finally:
-        if own:
-            fh.close()

@@ -469,8 +469,18 @@ def save_theta(model: TopicModel, path) -> None:
         write_rows(fh, [[str(i) for i in model.item_ids]], model.theta)
 
 
+def topic_rows_by_id(path, zero_ok: bool = False) -> dict[int, np.ndarray]:
+    """read_topic_rows as {id: values}; an id on two lines is a ParseError naming both."""
+    first, by_id = {}, {}
+    for line_no, id_, dist in read_topic_rows(path, zero_ok):
+        if first.setdefault(id_, line_no) != line_no:
+            raise ParseError(line_no, f"{path}: id {id_} repeats line {first[id_]}")
+        by_id[id_] = dist
+    return by_id
+
+
 def load_item_profiles(path) -> dict[int, ItemTopicProfile]:
-    return {i: ItemTopicProfile(i, dist) for _, i, dist in read_topic_rows(path)}
+    return {i: ItemTopicProfile(i, dist) for i, dist in topic_rows_by_id(path).items()}
 
 
 def save_phi(model: TopicModel, path, threshold: float = 1e-6) -> None:

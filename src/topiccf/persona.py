@@ -104,6 +104,7 @@ def write_personas_csv(personas: Mapping[int, UserPersona], path) -> None:
 def load_personas_csv(path) -> Mapping[int, UserPersona]:
     """Inverse of write_personas_csv; all-zero and empty rows come back undefined.
     documented_item_count is not persisted, so defined personas carry None and
-    undefined ones 0. Any other row must sum to 1, or it is a ParseError naming its line."""
+    undefined ones 0. Any other row must sum to 1, and no user id may repeat, or it is
+    a ParseError naming its line."""
     return MappingProxyType({u: UserPersona(u, dist) if dist.any() else UserPersona(u, None, 0)
-                             for _, u, dist in lda.read_topic_rows(path, zero_ok=True)})
+                             for u, dist in lda.topic_rows_by_id(path, zero_ok=True).items()})

@@ -340,13 +340,14 @@ def write_similarity_audit(
     personas: Mapping[int, UserPersona],
     train: RatingDataset,
 ) -> None:
-    """All-pairs audit dump ``user_a,user_b,topic,llr,hybrid`` (a < b). Desk-scale only."""
+    """All-pairs audit dump ``user_a,user_b,topic,llr,hybrid`` (a < b), from one
+    topic_row and one llr_row per user a. Desk-scale only: the file holds
+    n(n-1)/2 lines, about 18M at 6040 users."""
     users = train.users()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_a,user_b,topic,llr,hybrid\n")
         for a_pos, a in enumerate(users):
-            for b in users[a_pos + 1:]:
-                topic = _value(topic_similarity(personas.get(a), personas.get(b)))
-                llr = llr_similarity(a, b, train).value
-                topic_field = "undefined" if math.isnan(topic) else repr(float(topic))
-                fh.write(f"{a},{b},{topic_field},{llr!r},{float(_hybrid(topic, llr))!r}\n")
+            topic, llr = topic_row(a, personas, train), llr_row(a, train)
+            rows = np.stack([topic, llr, _hybrid(topic, llr)], axis=1)[a_pos + 1:].tolist()
+            for b, (t, lr, h) in zip(users[a_pos + 1:], rows):
+                fh.write(f"{a},{b},{'undefined' if math.isnan(t) else repr(t)},{lr!r},{h!r}\n")

@@ -660,3 +660,38 @@ def test_value_below_its_lower_bound_exits_2(tmp_path, capsys, key, low):
     assert rc == 2
     assert capsys.readouterr().err == f"error: {key} must be >= {low}, got {low - 1}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stage,name,values,written", [
+    ("personas", "theta.csv", ",0.5,0.5", "personas.csv"),
+    ("evaluate", "personas.csv", ",0.0,0.0", "report.csv"),
+])
+def test_repeated_topic_row_id_names_both_lines(tiny_inputs, tmp_path, capsys,
+                                                stage, name, values, written):
+    # The repeat reads as a good row, so only the id check can catch it.
+    out = tmp_path / "out"
+    args = _base_args(*tiny_inputs, out)
+    for upstream in ("split", "train", "personas")[:2 if stage == "personas" else 3]:
+        assert main([upstream] + args) == 0
+    lines = (out / name).read_text().splitlines()
+    first = lines[0].split(",")[0]
+    (out / name).write_text("\n".join(lines + [first + values]) + "\n")
+    capsys.readouterr()
+    assert main([stage] + args + ["--algorithms", "hybrid"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line {len(lines) + 1}: {out / name}: id {first} repeats line 1\n"
+    assert not (out / written).exists()
+
+
+def test_train_warns_of_skipped_corpus_entries(tiny_inputs, tmp_path, capsys):
+    ratings, corpus = tiny_inputs
+    args = _base_args(ratings, corpus, tmp_path / "out")
+    assert main(["split"] + args) == 0
+    capsys.readouterr()
+    assert main(["train"] + args) == 0
+    assert "warning" not in capsys.readouterr().out
+    corpus.write_text(corpus.read_text() + "abc\tbattle army\n13\t  \n")
+    assert main(["train"] + args) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "warning: 2 corpus entries skipped "
+        "(non-integer id, directory entry not a .txt file, or empty text)")

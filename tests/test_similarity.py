@@ -291,8 +291,8 @@ def test_hybrid_falls_back_to_llr_when_persona_undefined():
     assert s.value == pytest.approx(LLR_2_OF_4_4_N10, abs=1e-12)
 
 
-def test_audit_computes_each_pair_once(tmp_path, monkeypatch):
-    calls = {"topic": 0, "llr": 0}
+def test_audit_takes_one_topic_row_and_one_llr_row_per_user(tmp_path, monkeypatch):
+    calls = dict.fromkeys(["topic_row", "llr_row", "topic_similarity", "llr_similarity"], 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -300,14 +300,14 @@ def test_audit_computes_each_pair_once(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(similarity, "topic_similarity", counted("topic", topic_similarity))
-    monkeypatch.setattr(similarity, "llr_similarity", counted("llr", llr_similarity))
+    for name in calls:
+        monkeypatch.setattr(similarity, name, counted(name, getattr(similarity, name)))
     rng = np.random.default_rng(4)
     train = random_dataset(rng)
     personas = random_personas(rng, train.users(), undefined_fraction=0.2)
     similarity.write_similarity_audit(tmp_path / "sims.csv", personas, train)
-    pairs = train.num_users * (train.num_users - 1) // 2
-    assert calls == {"topic": pairs, "llr": pairs}
+    n = train.num_users
+    assert calls == {"topic_row": n, "llr_row": n, "topic_similarity": 0, "llr_similarity": 0}
 
 
 # ---------- brute-force equivalence on random instances ----------
@@ -364,6 +364,28 @@ def _row_instances():
         del personas[users[-1]]
         personas[users[0]] = _persona(users[0], [0.5, 0.5, 0.0, 0.0])
         yield train, personas
+
+
+def test_audit_lines_are_the_per_pair_values(tmp_path):
+    # Undefined, missing and floored-zero personas included; formatted as the
+    # per-pair audit wrote them.
+    path = tmp_path / "sims.csv"
+    for train, personas in _row_instances():
+        similarity.write_similarity_audit(path, personas, train)
+        users = train.users()
+        want = ["user_a,user_b,topic,llr,hybrid"]
+        for pos, a in enumerate(users):
+            for b in users[pos + 1:]:
+                topic = topic_similarity(personas.get(a), personas.get(b))
+                want.append(f"{a},{b},{repr(topic.value) if topic.defined else 'undefined'},"
+                            f"{llr_similarity(a, b, train).value!r},"
+                            f"{hybrid_similarity(a, b, personas, train).value!r}")
+        assert path.read_text().splitlines() == want
+    # a persona of the wrong width in the last instance
+    defined = [u for u in users if u in personas and personas[u].defined]
+    personas[defined[2]] = _persona(defined[2], [0.5, 0.5])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        similarity.write_similarity_audit(path, personas, train)
 
 
 def _first_error(fn):
