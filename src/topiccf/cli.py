@@ -24,19 +24,21 @@ from . import evaluate as ev
 from . import ingest, lda, persona, recommend, similarity
 from .ingest import ConfigurationError, RATING_MAX, RATING_MIN
 
-# Algorithm name -> (reads personas.csv, recommender(user, train, personas, cfg)).
-# The order is the evaluation and report order.
+# Algorithm name -> (reads personas.csv, recommender(user, train, personas, block, cfg)),
+# block being similarity.item_llr_block of train, which cmd_evaluate builds once
+# per run and only for ibcf_llr (None for the others). The order is the
+# evaluation and report order.
 RECOMMENDERS = {
-    "hybrid": (True, lambda u, train, personas, c: recommend.recommend_hybrid(
+    "hybrid": (True, lambda u, train, personas, _, c: recommend.recommend_hybrid(
         u, personas, train, c.neighbors, c.max_k, c.like_threshold)),
-    "topic_only": (True, lambda u, train, personas, c: recommend.recommend_topic_only(
+    "topic_only": (True, lambda u, train, personas, _, c: recommend.recommend_topic_only(
         u, personas, train, c.neighbors, c.max_k, c.like_threshold)),
-    "ubcf_pearson": (False, lambda u, train, _, c: recommend.recommend_user_based(
+    "ubcf_pearson": (False, lambda u, train, _, __, c: recommend.recommend_user_based(
         u, train, "pearson", c.neighbors, c.max_k)),
-    "ubcf_llr": (False, lambda u, train, _, c: recommend.recommend_user_based(
+    "ubcf_llr": (False, lambda u, train, _, __, c: recommend.recommend_user_based(
         u, train, "llr", c.neighbors, c.max_k)),
-    "ibcf_llr": (False, lambda u, train, _, c: recommend.recommend_item_based(
-        u, train, c.max_k)),
+    "ibcf_llr": (False, lambda u, train, _, block, c: recommend.recommend_item_based(
+        u, train, c.max_k, block)),
 }
 ALGORITHMS = tuple(RECOMMENDERS)
 
@@ -243,16 +245,28 @@ def cmd_evaluate(cfg: RunConfig, out: Path, per_user_detail: bool = False,
             raise ConfigurationError(f"no train user has a defined persona in "
                                      f"{out / 'personas.csv'}; run personas again")
         n_undef = persona.undefined_count(personas)
-        if n_undef:
-            print(f"note: {n_undef} personas undefined; hybrid falls back to "
-                  f"rating-overlap similarity for those users")
+        effects = [effect for algo, effect in (
+            ("hybrid", "hybrid falls back to rating-overlap similarity for those users"),
+            ("topic_only", "topic_only gives them empty lists")) if algo in selected]
+        if n_undef and effects:
+            print(f"note: {n_undef} personas undefined; {', '.join(effects)}")
+    cold = len(set(test.users()) - set(train.users()))
+    if cold:
+        print(f"note: {cold} test users have no train ratings; every algorithm gives "
+              f"them an empty list")
 
     if dump_similarities:
         similarity.write_similarity_audit(out / "similarities.csv", personas, train)
 
     reports = []
     for algo in selected:
-        rec_lists = {u: RECOMMENDERS[algo][1](u, train, personas, cfg) for u in test.users()}
+        block = None
+        if algo == "ibcf_llr":
+            block = similarity.item_llr_block(train)
+            print(f"item LLR block: {block.shape[0]} x {block.shape[1]} float64, "
+                  f"{block.nbytes / 2**20:.1f} MiB")
+        rec_lists = {u: RECOMMENDERS[algo][1](u, train, personas, block, cfg)
+                     for u in test.users()}
         recommend.write_recommendations_csv(rec_lists, out / f"recs_{algo}.csv")
 
         with (open(out / f"per_user_{algo}.csv", "w", encoding="utf-8") if per_user_detail
@@ -267,8 +281,10 @@ def cmd_evaluate(cfg: RunConfig, out: Path, per_user_detail: bool = False,
             )
         reports.append(ev.EvalReport(algo, rows))
         at = rows[0]
+        empty = sum(not recs.items for recs in rec_lists.values())
         print(f"{algo}: precision@{at.K}={at.precision:.4f} recall@{at.K}={at.recall:.4f} "
-              f"({at.users_evaluated} users)")
+              f"({at.users_evaluated} users, {empty} empty lists)")
+        del rec_lists  # before the next algorithm's lists, or the item LLR block, are built
     ev.emit_report(reports, out / "report.csv")
     print(f"report written to {out / 'report.csv'}")
 

@@ -148,7 +148,8 @@ def recommend_user_based(
     return _ranked(user, num / np.where(den > 0.0, den, np.nan), train, K)
 
 
-def recommend_item_based(user: int, train: RatingDataset, K: int = 75) -> RecommendationList:
+def recommend_item_based(user: int, train: RatingDataset, K: int = 75,
+                         block: np.ndarray | None = None) -> RecommendationList:
     """Standard item-based CF: predicted rating for an unseen item is the
     item-LLR-weighted average of the user's own ratings; zero-similarity terms
     count for nothing.
@@ -156,14 +157,21 @@ def recommend_item_based(user: int, train: RatingDataset, K: int = 75) -> Recomm
     Every candidate's sums grow together, one rated item at a time in stored
     order. The item LLR is +0.0 or positive, never NaN or -0.0, so a
     zero-similarity term adds +0.0, which leaves each sum's bits unchanged.
+
+    Each rated item's column is row p of ``block`` (similarity.item_llr_block
+    of train, p the item's index position), or item_llr_col of the item when
+    no block is given: a batch over many users builds the block once, a single
+    request computes only the columns it reads. Both give the same bits.
     """
     ix = train.index
+    n = len(ix.item_ids)
+    if block is not None and block.shape != (n, n):
+        raise ValueError(f"item LLR block has shape {block.shape}; train has {n} items")
     own = csr_row(ix.user_ptr, ix.user_ids, user)
-    num = np.zeros(len(ix.item_ids))
-    den = np.zeros(len(ix.item_ids))
-    for j, rating in zip(ix.item_ids[ix.user_items[own]].tolist(),
-                         train.columns.rating[own].tolist()):
-        s = item_llr_col(j, train)
+    num = np.zeros(n)
+    den = np.zeros(n)
+    for p, rating in zip(ix.user_items[own].tolist(), train.columns.rating[own].tolist()):
+        s = item_llr_col(ix.item_ids[p], train) if block is None else block[p]
         num = num + s * rating
         den = den + s
     return _ranked(user, num / np.where(den > 0.0, den, np.nan), train, K)

@@ -11,9 +11,9 @@ against every train user (or item) at once, in ``train.index`` order.
 Every float a batch form gives equals the per-pair function's bit for bit:
 a per-pair Pearson, LLR or item-LLR value is the entry of its batch row
 (pearson_row, llr_row, item_llr_col), so co-rated items are gathered one way,
-by the rating index; the symmetric KL has one definition, over many
-candidates, of which symmetric_kl is the one-candidate case; the hybrid rule
-has one too.
+by the rating index; item_llr_block stacks item_llr_col of every item; the
+symmetric KL has one definition, over many candidates, of which symmetric_kl
+is the one-candidate case; the hybrid rule has one too.
 
 The symmetric KL is a fixed-order sum over the topics, taken elementwise over
 a T-major block of floored candidate distributions and their logs, which the
@@ -242,6 +242,17 @@ def item_llr_col(item: int, train: RatingDataset) -> np.ndarray:
     users = ix.item_users[csr_row(ix.item_ptr, ix.item_ids, item)]
     k11 = _co_counts(ix.user_ptr, ix.user_items, users, len(ix.item_ids))
     return _llr_rows(k11, ix.item_degree, len(users), train.num_users)
+
+
+def item_llr_block(train: RatingDataset) -> np.ndarray:
+    """Every train item's item_llr_col as one items x items float64 block: row j
+    is the column of the item at index position j. Filled in place, a row at a
+    time, so the block is never held twice."""
+    ids = train.index.item_ids
+    block = np.empty((len(ids), len(ids)))
+    for j, item in enumerate(ids.tolist()):
+        block[j] = item_llr_col(item, train)
+    return block
 
 
 # One slot: (train.index, a read-only persona map, their block). The key holds

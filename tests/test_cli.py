@@ -5,7 +5,7 @@ import pytest
 
 from dataclasses import fields
 
-from topiccf import lda, persona
+from topiccf import ingest, lda, persona, recommend, similarity
 from topiccf.cli import (
     ALGORITHMS,
     STAGES,
@@ -14,6 +14,8 @@ from topiccf.cli import (
     read_config,
     write_config,
 )
+
+from synth import desk_instance
 
 WAR_WORDS = ["war", "battle", "army", "soldier", "enemy", "commander"]
 LOVE_WORDS = ["love", "romance", "heart", "kiss", "wedding", "couple"]
@@ -695,3 +697,81 @@ def test_train_warns_of_skipped_corpus_entries(tiny_inputs, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == (
         "warning: 2 corpus entries skipped "
         "(non-integer id, directory entry not a .txt file, or empty text)")
+
+
+def _desk_split(out):
+    """train.csv and test.csv of the desk fixture, split as the split stage would."""
+    pair = ingest.split_train_test(desk_instance()[0], 0.8, 1)
+    out.mkdir()
+    ingest.write_ratings_csv(pair.train, out / "train.csv")
+    ingest.write_ratings_csv(pair.test, out / "test.csv")
+    return pair.train
+
+
+def test_evaluate_computes_each_item_column_once(tmp_path, monkeypatch, capsys):
+    # The per-user path would compute one column per train rating of every test user.
+    calls = []
+    col = similarity.item_llr_col
+    def counting(item, train):
+        calls.append(item)
+        return col(item, train)
+    monkeypatch.setattr(similarity, "item_llr_col", counting)
+    monkeypatch.setattr(recommend, "item_llr_col", counting)
+    out = tmp_path / "out"
+    train = _desk_split(out)
+    assert main(["evaluate", "--out", str(out), "--algorithms", "ibcf_llr"]) == 0
+    assert sorted(calls) == train.items()
+    n = len(train.items())
+    assert f"item LLR block: {n} x {n} float64, " in capsys.readouterr().out
+
+
+def test_evaluate_without_ibcf_builds_no_block(tiny_inputs, tmp_path, monkeypatch, capsys):
+    def no_block(*args):
+        raise AssertionError("item_llr_block called")
+    monkeypatch.setattr(similarity, "item_llr_block", no_block)
+    _run_pipeline(*tiny_inputs, tmp_path / "out",
+                  algorithms="hybrid,topic_only,ubcf_pearson,ubcf_llr")
+    assert "item LLR block" not in capsys.readouterr().out
+
+
+def test_evaluate_counts_cold_start_users_and_empty_lists(tmp_path, capsys):
+    out = tmp_path / "out"
+    _desk_split(out)
+    args = ["evaluate", "--out", str(out), "--algorithms", "ubcf_llr,ibcf_llr"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    assert "no train ratings" not in printed
+    assert "ubcf_llr: " in printed and "(120 users, 0 empty lists)" in printed
+    with open(out / "test.csv", "a", encoding="utf-8") as fh:
+        fh.write("999,5,4.0,1\n")
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("note: 1 test users have no train ratings; "
+                        "every algorithm gives them an empty list")
+    for algo in ("ubcf_llr", "ibcf_llr"):
+        line, = [l for l in lines if l.startswith(f"{algo}: ")]
+        assert line.endswith("(121 users, 1 empty lists)")
+
+
+def test_undefined_persona_note_names_only_selected_algorithms(tiny_inputs, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = _base_args(*tiny_inputs, out)
+    for stage in ("split", "train", "personas"):
+        assert main([stage] + args) == 0
+    personas = dict(persona.load_personas_csv(out / "personas.csv"))
+    personas[1] = persona.UserPersona(1, None, 0)
+    persona.write_personas_csv(personas, out / "personas.csv")
+    notes = {}
+    for algos in ("hybrid", "topic_only", "hybrid,topic_only", "ubcf_llr"):
+        capsys.readouterr()
+        assert main(["evaluate"] + args + ["--algorithms", algos, "--dump-similarities"]) == 0
+        notes[algos] = [l for l in capsys.readouterr().out.splitlines()
+                        if l.startswith("note: ")]
+    hybrid = "hybrid falls back to rating-overlap similarity for those users"
+    topic = "topic_only gives them empty lists"
+    assert notes == {
+        "hybrid": [f"note: 1 personas undefined; {hybrid}"],
+        "topic_only": [f"note: 1 personas undefined; {topic}"],
+        "hybrid,topic_only": [f"note: 1 personas undefined; {hybrid}, {topic}"],
+        "ubcf_llr": [],
+    }

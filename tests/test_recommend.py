@@ -23,7 +23,7 @@ from oracles import (
     naive_user_based,
     pipeline_sims,
 )
-from synth import random_dataset, random_personas
+from synth import desk_instance, random_dataset, random_personas
 
 
 def _ds(by_user):
@@ -185,6 +185,49 @@ def test_item_based_user_rated_everything():
 def test_item_based_unknown_user_empty():
     train = _ds({1: [(10, 4.0)]})
     assert recommend_item_based(42, train, K=5).items == ()
+
+
+def test_item_based_with_block_equals_the_per_user_path():
+    # Whole lists, scores included: the block's rows are the columns the
+    # per-user path computes, summed in the same order.
+    rng = np.random.default_rng(31)
+    instances = [desk_instance()[0]] + [
+        random_dataset(rng, max_users=40, max_items=60, density=0.2) for _ in range(3)]
+    for train in instances:
+        block = similarity.item_llr_block(train)
+        users = train.users()
+        for u in users + [max(users) + 1]:  # the last one is absent from train
+            for K in (1, 10):
+                assert recommend_item_based(u, train, K, block) == \
+                    recommend_item_based(u, train, K)
+
+
+def test_item_based_rejects_a_block_of_the_wrong_shape():
+    train = _ds({1: [(10, 4.0), (11, 3.0)], 2: [(10, 5.0), (12, 2.0)]})
+    for shape in ((2, 2), (3, 2), (3,), (4, 4)):
+        with pytest.raises(ValueError, match="item LLR block"):
+            recommend_item_based(1, train, 5, np.zeros(shape))
+
+
+def test_item_based_without_block_computes_only_the_users_columns(monkeypatch):
+    # A single request (query-ml1m times one) stays the cost of the user's own
+    # columns: one item_llr_col per rated item, never a whole block.
+    def no_block(*args):
+        raise AssertionError("item_llr_block called")
+    calls = []
+    col = similarity.item_llr_col
+    def counting(item, train):
+        calls.append(item)
+        return col(item, train)
+    monkeypatch.setattr(similarity, "item_llr_block", no_block)
+    monkeypatch.setattr(similarity, "item_llr_col", counting)
+    monkeypatch.setattr(recommend, "item_llr_col", counting)
+    train = desk_instance()[0]
+    by_user = ds_by_user(train)
+    for u in train.users()[:10]:
+        calls.clear()
+        recommend_item_based(u, train, K=10)
+        assert calls == [i for i, _ in by_user[u]]
 
 
 # ---------- hybrid & topic-only ----------

@@ -425,6 +425,24 @@ def test_item_llr_col_equals_item_llr_similarity_bit_for_bit():
                 item_llr_similarity(i, j, train).value for i in items]
 
 
+def _block_instances():
+    """The desk fixture, then random instances each with an item that has one rater."""
+    yield desk_instance()[0]
+    for train, _ in _row_instances():
+        user, item = train.users()[0], max(train.items()) + 1
+        yield RatingDataset(ds_records(train) + (RatingRecord(user, item, 3.0),))
+
+
+def test_item_llr_block_rows_are_the_item_columns_bit_for_bit():
+    for train in _block_instances():
+        block = similarity.item_llr_block(train)
+        items = train.index.item_ids.tolist()
+        assert block.shape == (len(items), len(items)) and block.dtype == np.float64
+        assert (train.index.item_degree == 1).any()
+        for j, item in enumerate(items):
+            assert (_bits(block[j]) == _bits(similarity.item_llr_col(item, train))).all()
+
+
 def test_topic_and_hybrid_rows_equal_pairwise_bit_for_bit():
     for train, personas in _row_instances():
         users = train.users()
