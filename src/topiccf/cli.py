@@ -101,6 +101,8 @@ class RunConfig:
             raise ConfigurationError(
                 f"unknown algorithm(s) {', '.join(bad)}; valid: {', '.join(ALGORITHMS)}"
             )
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ConfigurationError(f"algorithms repeats a name: {','.join(self.algorithms)}")
 
 
 # field name -> annotation string, e.g. "int", "float | None", "tuple[int, ...]"
@@ -127,17 +129,20 @@ def _parse_value(name: str, raw: str, where: str = ""):
 
 
 def read_config(path) -> RunConfig:
-    """Parse a key=value config file into a RunConfig."""
-    values = {}
+    """Parse a key=value config file into a RunConfig; a key set twice is an error."""
+    values, lines = {}, {}
     for line_no, raw in enumerate(ingest.read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        key = key.strip()
+        key, where = key.strip(), f"{path}:{line_no}: "
         if not sep or key not in _TYPES:
-            raise ConfigurationError(f"{path}:{line_no}: unknown config key {key!r}")
-        values[key] = _parse_value(key, value, f"{path}:{line_no}: ")
+            raise ConfigurationError(f"{where}unknown config key {key!r}")
+        if key in lines:
+            raise ConfigurationError(f"{where}config key {key!r} repeats line {lines[key]}")
+        lines[key] = line_no
+        values[key] = _parse_value(key, value, where)
     return RunConfig(**values)
 
 

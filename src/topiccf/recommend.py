@@ -8,9 +8,9 @@ every top-K list is picked by ``_top`` from a score array over the train
 users or items (NaN: not scored): highest score first, ties by ascending id,
 so every run is reproducible.
 
-Every recommender scores a user against everyone at once through
-similarity's batch rows, which equal the per-pair functions bit for bit; none
-calls a per-pair function.
+Every recommender scores a user against everyone at once through similarity's
+batch rows, which equal the per-pair functions bit for bit. None calls a per-pair
+function on any input: a bad persona raises the topic row's own ValueError.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
+from . import lda
 from .ingest import RatingDataset, csr_entries, csr_row
 from .persona import UserPersona
 from .similarity import (  # the per-pair functions stay importable from here
@@ -204,9 +205,14 @@ def recommend_topic_only(
 
 
 def write_recommendations_csv(lists: Mapping[int, RecommendationList], path) -> None:
-    """Rows ``user_id,rank,item_id,score``, users ascending, rank starting at 1."""
+    """Rows ``user_id,rank,item_id,score`` by lda.write_rows, users ascending, rank from 1."""
+    users = sorted(lists)
+    recs = [lists[u].items for u in users]
+    ranks = [str(k) for k in range(1, max(map(len, recs), default=0) + 1)]
+    flat = [rec for r in recs for rec in r]
+    keys = [[str(u) for u, r in zip(users, recs) for _ in r],
+            [k for r in recs for k in ranks[:len(r)]],
+            [str(rec.item_id) for rec in flat]]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_id,rank,item_id,score\n")
-        for user in sorted(lists):
-            for rank, rec in enumerate(lists[user].items, start=1):
-                fh.write(f"{user},{rank},{rec.item_id},{float(rec.score)!r}\n")
+        lda.write_rows(fh, keys, np.array([rec.score for rec in flat], dtype=float).reshape(-1, 1))

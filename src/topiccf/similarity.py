@@ -13,7 +13,7 @@ a per-pair Pearson, LLR or item-LLR value is the entry of its batch row
 (pearson_row, llr_row, item_llr_col), so co-rated items are gathered one way,
 by the rating index; item_llr_block stacks item_llr_col of every item; the
 symmetric KL has one definition, over many candidates, of which symmetric_kl
-is the one-candidate case; the hybrid rule has one too.
+is the one-candidate case, and one input check; the hybrid rule has one too.
 
 The symmetric KL is a fixed-order sum over the topics, taken elementwise over
 a T-major block of floored candidate distributions and their logs, which the
@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import lda
 from .ingest import RatingDataset, csr_entries, csr_row, position
-from .lda import rows_sum_to_one, sums_to_one
+from .lda import rows_sum_to_one
 from .persona import UserPersona
 
 KL_FLOOR = 1e-10
@@ -56,17 +56,27 @@ def symmetric_kl(p: np.ndarray, q: np.ndarray) -> float:
 
     The floor keeps the divergence finite for distributions that picked up
     exact zeros in file round-trips; LDA-smoothed profiles are strictly
-    positive and pass through unchanged. _kl_rows of the one candidate q.
+    positive and pass through unchanged. _kl_rows of the one candidate q;
+    raises _checked's ValueError, naming p or q.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    for name, d in (("p", p), ("q", q)):
-        if not sums_to_one(d):
-            raise ValueError(f"{name} does not sum to 1 (got {d.sum()!r})")
-    f, logs = _floored_log(np.stack([p.ravel(), q.ravel()], axis=1))
+    f, logs = _floored_log(np.ascontiguousarray(_checked([p, q], ("p", "q")).T))
     return float(_kl_rows(f[:, 0], logs[:, 0], f[:, 1:], logs[:, 1:])[0])
+
+
+def _checked(dists: list, names: Sequence[str], width: int | None = None) -> np.ndarray:
+    """The distributions as the rows of one float array. Raises ValueError naming
+    the first that is not 1-D of ``width`` (else of the first one's width), then
+    the first that does not sum to 1 within lda.SUM_TOLERANCE."""
+    want = np.shape(dists[0])[:1] if width is None else (width,)
+    for name, d in zip(names, dists):
+        if np.shape(d) != want or not want:
+            raise ValueError(f"{name}: dimension mismatch: {np.shape(d)} vs {want}")
+    rows = np.array(dists, dtype=float)
+    ok = rows_sum_to_one(rows)
+    if not ok.all():
+        i = ok.argmin()
+        raise ValueError(f"{names[i]} does not sum to 1 (got {rows[i].sum()!r})")
+    return rows
 
 
 def _floored_log(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,20 +270,17 @@ def item_llr_block(train: RatingDataset) -> np.ndarray:
 _block_memo: list = [None, None, None]
 
 
-def _t_major(dists: list) -> np.ndarray | None:
-    """The distributions as the columns of one C-contiguous T-major block; None
-    unless each is 1-D, of one width, and sums to 1."""
-    shapes = set(map(np.shape, dists))
-    if len(shapes) != 1 or len(shapes.pop()) != 1:
-        return None
-    rows = np.array(dists, dtype=float)
-    return np.ascontiguousarray(rows.T) if rows_sum_to_one(rows).all() else None
+def _t_major(personas: list[UserPersona]) -> np.ndarray:
+    """The defined personas' distributions as the columns of one C-contiguous
+    T-major block; _checked, each named by its user id."""
+    names = [f"persona of user {p.user_id}" for p in personas]
+    return np.ascontiguousarray(_checked([p.distribution for p in personas], names).T)
 
 
 def _candidate_block(personas: Mapping[int, UserPersona], train: RatingDataset):
     """The defined personas of train's users, in index order: their positions, and
     their floored distributions and logs as T-major blocks, as (pos, q, lq); None
-    unless there is at least one and each is a 1-D distribution of one width that sums to 1.
+    when there is none. Raises _t_major's ValueError, naming the first bad persona.
 
     A read-only map (a MappingProxyType, as build_all_personas and load_personas_csv
     return) is taken not to change, so a proxy over a dict that is still edited must
@@ -285,7 +292,7 @@ def _candidate_block(personas: Mapping[int, UserPersona], train: RatingDataset):
     _block_memo[:] = [None, None, None]  # the old block goes before a new one is built
     cands = list(map(personas.get, ix.user_ids.tolist()))
     pos = [i for i, q in enumerate(cands) if q is not None and q.defined]
-    q = _t_major([cands[i].distribution for i in pos])
+    q = _t_major([cands[i] for i in pos]) if pos else None
     block = None if q is None else (np.array(pos, dtype=np.intp), *_floored_log(q))
     if isinstance(personas, MappingProxyType):
         _block_memo[:] = [ix, personas, block]
@@ -294,27 +301,22 @@ def _candidate_block(personas: Mapping[int, UserPersona], train: RatingDataset):
 
 def topic_row(user: int, personas: Mapping[int, UserPersona], train: RatingDataset) -> np.ndarray:
     """topic_similarity of user's persona to every train user's, in index order;
-    NaN where undefined. Raises the ValueError topic_similarity raises on the
-    first bad pair.
+    NaN where undefined, so all NaN unless user's and some train user's persona
+    are defined. Then a bad persona, a candidate's or user's own, raises _checked's
+    ValueError naming its user; no input makes the row call a per-pair function.
 
     The candidates' floored distributions and logs come from one T-major block,
     kept per read-only persona map (_candidate_block); _kl_rows scores them all
     at once.
     """
-    ids = train.index.user_ids
-    values = np.full(len(ids), np.nan)
     p = personas.get(user)
-    if p is None or not p.defined:
-        return values
-    block = _candidate_block(personas, train)
-    d = np.array(p.distribution, dtype=float)
-    if block is None or d.shape != block[1].shape[:1] or not sums_to_one(d):
-        # no defined candidate or a bad pair: walk the pairs, raising topic_similarity's first error
-        values[:] = [_value(topic_similarity(p, personas.get(v))) for v in ids.tolist()]
-        return values
-    pos, q, lq = block
-    fp, lp = _floored_log(d.reshape(-1, 1))
-    values[pos] = _exp(-_kl_rows(fp[:, 0], lp[:, 0], q, lq))
+    block = None if p is None or not p.defined else _candidate_block(personas, train)
+    values = np.full(len(train.index.user_ids), np.nan)
+    if block is not None:
+        pos, q, lq = block
+        d = _checked([p.distribution], [f"persona of user {p.user_id}"], len(q))
+        fp, lp = _floored_log(d.T)
+        values[pos] = _exp(-_kl_rows(fp[:, 0], lp[:, 0], q, lq))
     return values
 
 
@@ -322,11 +324,6 @@ def _hybrid(topic, llr):
     """The hybrid rule, on floats or arrays: topic * LLR, or bare LLR where
     topic is NaN (undefined)."""
     return np.where(np.isnan(topic), llr, topic * llr)
-
-
-def _value(score: SimilarityScore) -> float:
-    """score.value, or NaN when the score is undefined."""
-    return score.value if score.defined else math.nan
 
 
 def hybrid_row(user: int, personas: Mapping[int, UserPersona], train: RatingDataset) -> np.ndarray:
@@ -342,7 +339,8 @@ def hybrid_similarity(
 ) -> SimilarityScore:
     """topic_similarity * llr_similarity; falls back to LLR alone when either
     persona is undefined, so such users stay recommendable."""
-    topic = _value(topic_similarity(personas.get(u), personas.get(v)))
+    t = topic_similarity(personas.get(u), personas.get(v))
+    topic = t.value if t.defined else math.nan
     return SimilarityScore(float(_hybrid(topic, llr_similarity(u, v, train).value)))
 
 

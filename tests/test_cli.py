@@ -775,3 +775,54 @@ def test_undefined_persona_note_names_only_selected_algorithms(tiny_inputs, tmp_
         "hybrid,topic_only": [f"note: 1 personas undefined; {hybrid}, {topic}"],
         "ubcf_llr": [],
     }
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--like-threshold", "6"], "like_threshold must be in [1.0, 5.0]"),
+    (["--like-threshold", "0.5"], "like_threshold must be in [1.0, 5.0]"),
+    (["--ks", "10,5"], "ks must be strictly increasing positive integers"),
+    (["--ks", "5,5"], "ks must be strictly increasing positive integers"),
+    (["--max-k", "5", "--ks", "5,10"], "max_k=5 below largest K=10"),
+    (["--algorithms", "ubcf_llr,ubcf_llr"], "algorithms repeats a name: ubcf_llr,ubcf_llr"),
+], ids=["like-above", "like-below", "ks-decreasing", "ks-repeated", "max-k-below-k",
+        "algorithm-repeated"])
+def test_inconsistent_values_exit_2_naming_the_rule(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(["evaluate", "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_config_file_skips_comment_and_blank_lines(tmp_path):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("# neighbors=5\n\n  # topics=3\ntopics=9\n")
+    assert read_config(conf) == RunConfig(topics=9)
+
+
+def test_repeated_config_key_exits_2_naming_both_lines(tiny_inputs, tmp_path, capsys):
+    ratings, _ = tiny_inputs
+    conf = tmp_path / "conf.txt"
+    conf.write_text("neighbors=10\n# neighbors=15\nformat=csv\nneighbors=20\n")
+    out = tmp_path / "out"
+    assert main(["split", "--config", str(conf), "--ratings", str(ratings),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {conf}:4: config key 'neighbors' repeats line 1\n"
+    assert not out.exists()
+
+
+def test_split_warns_of_dropped_duplicate_ratings(tiny_inputs, tmp_path, capsys):
+    ratings, _ = tiny_inputs
+    ratings.write_text(ratings.read_text() + "1,1,2\n1,2,3\n")
+    assert main(["split", "--ratings", str(ratings), "--format", "csv",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "warning: 2 duplicate (user,item) ratings dropped (kept last)")
+
+
+def test_train_refuses_a_corpus_that_loads_no_documents(tiny_inputs, tmp_path, capsys):
+    _, corpus = tiny_inputs
+    corpus.write_text("abc\tbattle army\n13\t  \n")
+    out = tmp_path / "out"
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: no documents loaded from {corpus}\n"
+    assert not out.exists()

@@ -171,6 +171,13 @@ def test_max_k_below_largest_k_rejected():
         evaluate_sweep(lambda u: _recs(u, []), train, test, Ks=[5, 10], max_K=5)
 
 
+def test_duplicate_k_values_rejected():
+    train = _ds({1: [(999, 5.0)]})
+    test = _ds({1: [(1, 4.0)]})
+    with pytest.raises(ValueError, match="^duplicate K values$"):
+        evaluate_sweep(lambda u: _recs(u, []), train, test, Ks=[5, 10, 5], max_K=10)
+
+
 # ---------- report emission ----------
 
 def test_emit_single_row():

@@ -119,6 +119,18 @@ def test_unknown_format_rejected():
         parse_ratings(io.StringIO(""), "tsv")
 
 
+def test_unsupported_source_type_rejected():
+    with pytest.raises(TypeError, match="^unsupported source type: <class 'int'>$"):
+        parse_ratings(42, "csv")
+
+
+def test_rating_columns_of_different_lengths_rejected():
+    columns = ingest.RatingColumns(np.array([1, 2]), np.array([1]), np.array([3.0, 4.0]),
+                                   np.zeros(2, dtype=np.int64), np.zeros(2, dtype=bool))
+    with pytest.raises(ValueError, match="^rating columns differ in length$"):
+        RatingDataset(columns)
+
+
 def test_index_consistency():
     ds = parse_ratings(io.StringIO("1,1,5\n1,2,4\n2,1,3\n3,3,1\n"), "csv")
     assert sum(len(v) for v in ds_by_user(ds).values()) == len(ds_records(ds))

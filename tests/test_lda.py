@@ -251,6 +251,14 @@ def test_invalid_parameters():
             train_lda(EncodedCorpus([bad], (1,)), vocab, T=2, iterations=1)
 
 
+def test_train_lda_refuses_an_empty_vocabulary_or_only_empty_documents():
+    vocab, _ = build_vocabulary(DocumentCorpus({1: "war war peace"}))
+    with pytest.raises(ConfigurationError, match="^empty vocabulary$"):
+        train_lda(EncodedCorpus([[]], (1,)), Vocabulary((), {}), T=2, iterations=1)
+    with pytest.raises(ConfigurationError, match="^corpus has no non-empty documents$"):
+        train_lda(EncodedCorpus([[], []], (1, 2)), vocab, T=2, iterations=1)
+
+
 def _random_corpus(docs=30, words=40, max_len=25, seed=4):
     rng = np.random.default_rng(seed)
     return DocumentCorpus({
@@ -344,6 +352,16 @@ def test_missing_compiler_falls_back_to_the_same_model(tmp_path, monkeypatch):
     assert model.assignments == reference.assignments
     assert model.theta.tobytes() == reference.theta.tobytes()
     assert model.phi.tobytes() == reference.phi.tobytes()
+
+
+def test_failing_compiler_falls_back_naming_its_exit_and_last_stderr_line(tmp_path, monkeypatch):
+    # A Python script, so it runs where PATH holds no shell tools.
+    compiler = tmp_path / "cc"
+    compiler.write_text(f"#!{sys.executable}\nimport sys\n"
+                        "sys.stderr.write('cc: warming up\\ncc: out of luck\\n')\nsys.exit(3)\n")
+    compiler.chmod(0o755)
+    assert _fresh_kernel(monkeypatch, tmp_path, compiler=str(compiler)) == (
+        None, f"python ({compiler} exited 3: cc: out of luck)")
 
 
 def test_kernel_is_compiled_once_into_a_private_cache(tmp_path, monkeypatch):
@@ -464,6 +482,13 @@ def test_topic_top_words_tie_breaks_by_index():
     model, vocab = _fixed_model()
     model.phi = np.array([[0.4, 0.4, 0.2]])
     assert topic_top_words(model, 0, 1) == ["aa0"]
+
+
+@pytest.mark.parametrize("topic", [-1, 1])
+def test_topic_top_words_rejects_a_topic_out_of_range(topic):
+    model, _ = _fixed_model()
+    with pytest.raises(ValueError, match=rf"^topic {topic} out of range \[0, 1\)$"):
+        topic_top_words(model, topic, 2)
 
 
 # ---------- log likelihood ----------

@@ -427,3 +427,61 @@ def test_recommenders_call_no_per_pair_similarity(algo, monkeypatch):
     personas = random_personas(rng, train.users(), undefined_fraction=0.2)
     for u in train.users():
         _RECOMMENDERS[algo](u, personas, train, 5)
+
+
+def test_no_row_or_list_calls_a_per_pair_function_on_any_input(tmp_path, monkeypatch):
+    # A valid map gives the values of an unpatched run; a map with no defined
+    # persona gives NaN topic rows and LLR hybrid rows; a bad persona raises the
+    # topic row's own error, naming its user, from every caller of the row.
+    rng = np.random.default_rng(2)
+    train = random_dataset(rng, max_users=20, max_items=30)
+    users = train.users()
+    good = random_personas(rng, users, undefined_fraction=0.2)
+    culprit = [u for u in users if good[u].defined][1]
+    bad = {**good, culprit: _persona(culprit, [0.6, 0.6, 0.0])}
+    audit = tmp_path / "similarities.csv"
+
+    def run(personas):
+        similarity.write_similarity_audit(audit, personas, train)
+        return ([similarity.topic_row(u, personas, train).tobytes() for u in users],
+                [similarity.hybrid_row(u, personas, train).tobytes() for u in users],
+                audit.read_bytes(),
+                {a: [f(u, personas, train, 5) for u in users] for a, f in _RECOMMENDERS.items()})
+
+    want = run(good)
+
+    def per_pair(*args):
+        raise AssertionError("per-pair similarity called")
+    for name in ("hybrid_similarity", "topic_similarity", "symmetric_kl", "pearson_similarity",
+                 "llr_similarity", "item_llr_similarity"):
+        monkeypatch.setattr(recommend, name, per_pair, raising=False)
+        monkeypatch.setattr(similarity, name, per_pair)
+    assert run(good) == want
+    undefined = {u: UserPersona(u, None, documented_item_count=0) for u in users}
+    for u in users:
+        assert np.isnan(similarity.topic_row(u, undefined, train)).all()
+        assert similarity.hybrid_row(u, undefined, train).tobytes() == (
+            similarity.llr_row(u, train).tobytes())
+    u = next(u for u in users if bad[u].defined)
+    for call in (lambda: similarity.topic_row(u, bad, train),
+                 lambda: similarity.hybrid_row(u, bad, train),
+                 lambda: similarity.write_similarity_audit(audit, bad, train),
+                 lambda: recommend_hybrid(u, bad, train, N=5, K=5),
+                 lambda: recommend_topic_only(u, bad, train, N=5, K=5)):
+        with pytest.raises(ValueError, match=f"^persona of user {culprit} does not sum to 1"):
+            call()
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_every_neighbourhood_rejects_nonpositive_n(N):
+    rng = np.random.default_rng(1)
+    train = random_dataset(rng)
+    personas = random_personas(rng, train.users())
+    u = train.users()[0]
+    for call in (lambda: recommend_hybrid(u, personas, train, N=N, K=5),
+                 lambda: recommend_topic_only(u, personas, train, N=N, K=5),
+                 lambda: recommend_user_based(u, train, "pearson", N=N, K=5),
+                 lambda: recommend_user_based(u, train, "llr", N=N, K=5),
+                 lambda: build_neighborhood(u, lambda a, b: UNDEFINED, train, N)):
+        with pytest.raises(ValueError, match=f"^N must be >= 1, got {N}$"):
+            call()

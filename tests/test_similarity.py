@@ -458,18 +458,27 @@ def test_topic_and_hybrid_rows_equal_pairwise_bit_for_bit():
 @pytest.mark.parametrize("bad", [[0.25, 0.25, 0.25, 0.2], [0.5, 0.5], [0.6, 0.6, 0.0, 0.0],
                                  [math.nan, 0.25, 0.25, 0.5]])
 def test_topic_row_raises_the_per_pair_error(bad):
+    # The rows raise exactly where the per-pair loop does, with their own message
+    # naming the bad persona's user: a candidate's, or the user's own outside train.
+    phrase = "does not sum to 1" if len(bad) == 4 else "dimension mismatch"
     train, personas = next(_row_instances())
     users = train.users()
+    outsider = max(users) + 1
     defined = [u for u in users if u in personas and personas[u].defined]
-    personas[defined[2]] = _persona(defined[2], bad)
-    errors = set()
-    for u in users:
-        want = _first_error(lambda: [
-            topic_similarity(personas.get(u), personas.get(v)) for v in users])
-        assert _first_error(lambda: similarity.topic_row(u, personas, train)) == want
-        assert _first_error(lambda: similarity.hybrid_row(u, personas, train)) == want
-        errors.add(want)
-    assert len(errors - {None}) >= (1 if len(bad) == 2 else 2)  # as p and as q
+    for culprit in (defined[2], outsider):
+        mine = dict(personas)
+        mine[culprit] = _persona(culprit, bad)
+        raised = 0
+        for u in users + [outsider]:
+            want = _first_error(lambda: [
+                topic_similarity(mine.get(u), mine.get(v)) for v in users])
+            for row in (similarity.topic_row, similarity.hybrid_row):
+                got = _first_error(lambda: row(u, mine, train))
+                assert (got is None) == (want is None)
+                assert got is None or (phrase in got and got.startswith(
+                    (f"persona of user {culprit}:", f"persona of user {culprit} ")))
+            raised += want is not None
+        assert raised == (len(defined) if culprit in users else 1)
 
 
 def test_per_pair_llr_and_hybrid_values_are_pinned():
