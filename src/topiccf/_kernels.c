@@ -9,6 +9,10 @@
  * of mapping math.log and math.exp, which call the same libm functions. Link
  * libm after this source; -ffast-math would let the compiler call other
  * (vector) versions of them.
+ *
+ * topiccf_co_counts adds 1 to out[c] for each column c of the given rows of a
+ * CSR array, row after row: the twin of topiccf.similarity._co_counts. Integer
+ * counts only, so no rounding can differ.
  */
 #include <math.h>
 #include <stdint.h>
@@ -51,4 +55,12 @@ void topiccf_exp(long n, const double *x, double *out)
 {
     for (long i = 0; i < n; i++)
         out[i] = exp(x[i]);
+}
+
+void topiccf_co_counts(long n, const int32_t *rows, const int32_t *ptr, const int32_t *cols,
+                       int64_t *out)
+{
+    for (long r = 0; r < n; r++)
+        for (int32_t k = ptr[rows[r]]; k < ptr[rows[r] + 1]; k++)
+            out[cols[k]]++;
 }

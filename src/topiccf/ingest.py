@@ -142,6 +142,22 @@ def csr_entries(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
 
+def _stable_order(ids: np.ndarray) -> np.ndarray:
+    """np.argsort(ids, kind="stable") of the int64 ``ids``, by a least-significant-digit
+    radix sort: one stable argsort of a uint16 digit of ``ids - ids.min()`` (as uint64)
+    per 16 bits of the id span, which numpy sorts by counting. A stable order is
+    unique, so it is argsort's; at ML-1M shape one pass takes about a quarter of its time."""
+    if len(ids) == 0:
+        return np.argsort(ids, kind="stable")
+    key = (ids - ids.min()).view(np.uint64)  # wraps into the true span, < 2**64
+    order = None
+    for shift in range(0, max(int(key.max()).bit_length(), 1), 16):
+        digit = ((key if order is None else key[order]) >> np.uint64(shift)).astype(np.uint16)
+        step = np.argsort(digit, kind="stable")
+        order = step if order is None else order[step]
+    return order
+
+
 class RatingDataset:
     """Immutable user-item ratings, one per (user, item): the last one given.
 
@@ -196,13 +212,13 @@ class RatingDataset:
     def index(self) -> RatingIndex:
         """The ratings as user->item and item->user CSR arrays, built on first use.
 
-        One stable argsort of the item ids groups the ratings by item, users
-        ascending within an item (the rows are in user order); an item's
-        position is the count of distinct ids up to its run.
+        One stable sort of the item ids (_stable_order) groups the ratings by
+        item, users ascending within an item (the rows are in user order); an
+        item's position is the count of distinct ids up to its run.
         """
         user_ids, rows = self.user_runs
         item = self.columns.item
-        order = np.argsort(item, kind="stable")
+        order = _stable_order(item)
         grouped = item[order]
         new = np.ones(len(item), dtype=bool)
         new[1:] = grouped[1:] != grouped[:-1]

@@ -14,7 +14,9 @@ After the final sweep the point estimates are
 Everything is deterministic given (corpus, T, alpha_sum, beta, iterations, seed).
 A sweep runs in the C kernel _kernels.c where a compiler can build it
 (gibbs_kernel), else in _sweep_python; both give the same bits. The same
-library holds the log and exp loops of the similarity rows (log_exp_kernels).
+library holds the log and exp loops of the similarity rows (log_exp_kernels)
+and the co-count loop of the item-LLR columns (load_kernels). Every array
+argument goes to C as a plain pointer, so a call leaves no reference cycle.
 """
 from __future__ import annotations
 
@@ -281,6 +283,23 @@ def _compile_kernel(cache: Path) -> Path:
     return so
 
 
+def _array_arg(dtype, flags: str):
+    """The argtype of a C array of ``dtype`` with ``flags``: np.ctypeslib.ndpointer's
+    checks (a failed one raises ctypes.ArgumentError), but the array goes as a
+    ctypes.c_void_p of its data. ndpointer passes ``arr.ctypes``, which ctypes.cast
+    converts with a reference cycle per array (bpo-12836), so thousands of calls
+    would leave work for the cyclic garbage collector; a bare int would be
+    truncated to a C int."""
+    import ctypes
+
+    class ArrayArg(np.ctypeslib.ndpointer(dtype, flags=flags)):
+        @classmethod
+        def from_param(cls, obj):
+            return ctypes.c_void_p(super().from_param(obj).data)
+
+    return ArrayArg
+
+
 @functools.cache
 def load_kernels():
     """_kernels.c as a loaded library: (the ctypes.CDLL, "native (<.so path>)"), or
@@ -308,12 +327,14 @@ def load_kernels():
     except (OSError, subprocess.SubprocessError) as exc:
         return None, f"python ({exc})"
     c_long, c_int, c_double = ctypes.c_long, ctypes.c_int, ctypes.c_double
-    i32, i32_out, f64, f64_out = (np.ctypeslib.ndpointer(t, flags=f) for t in (np.int32, np.float64)
+    i32, i32_out, f64, f64_out = (_array_arg(t, f) for t in (np.int32, np.float64)
                                   for f in ("C_CONTIGUOUS", "C_CONTIGUOUS,WRITEABLE"))
     loop = [c_long, f64, f64_out]  # fn(n, x, out)
     signatures = {"topiccf_gibbs_sweep": [c_long, c_int, i32, i32, *[i32_out] * 4, f64,
                                           c_double, c_double, c_double, f64_out],
-                  "topiccf_log": loop, "topiccf_exp": loop}
+                  "topiccf_log": loop, "topiccf_exp": loop,
+                  "topiccf_co_counts": [c_long, i32, i32, i32,
+                                        _array_arg(np.int64, "C_CONTIGUOUS,WRITEABLE")]}
     for name, argtypes in signatures.items():  # every function returns void
         fn = getattr(lib, name)
         fn.argtypes, fn.restype = argtypes, None

@@ -205,14 +205,22 @@ def recommend_topic_only(
 
 
 def write_recommendations_csv(lists: Mapping[int, RecommendationList], path) -> None:
-    """Rows ``user_id,rank,item_id,score`` by lda.write_rows, users ascending, rank from 1."""
+    """Rows ``user_id,rank,item_id,score`` by lda.write_rows, users ascending, rank from 1.
+
+    The key strings are built for a block of users at a time, about one write_rows
+    block of rows, so memory does not grow with the number of users."""
     users = sorted(lists)
-    recs = [lists[u].items for u in users]
-    ranks = [str(k) for k in range(1, max(map(len, recs), default=0) + 1)]
-    flat = [rec for r in recs for rec in r]
-    keys = [[str(u) for u, r in zip(users, recs) for _ in r],
-            [k for r in recs for k in ranks[:len(r)]],
-            [str(rec.item_id) for rec in flat]]
+    longest = max((len(lists[u].items) for u in users), default=0)
+    ranks = [str(k) for k in range(1, longest + 1)]
+    step = max(1, lda._BLOCK_CELLS // max(longest, 1))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_id,rank,item_id,score\n")
-        lda.write_rows(fh, keys, np.array([rec.score for rec in flat], dtype=float).reshape(-1, 1))
+        for start in range(0, len(users), step):
+            block = users[start:start + step]
+            recs = [lists[u].items for u in block]
+            flat = [rec for r in recs for rec in r]
+            keys = [[str(u) for u, r in zip(block, recs) for _ in r],
+                    [k for r in recs for k in ranks[:len(r)]],
+                    [str(rec.item_id) for rec in flat]]
+            scores = np.array([rec.score for rec in flat], dtype=float).reshape(-1, 1)
+            lda.write_rows(fh, keys, scores)

@@ -25,7 +25,9 @@ Every log and exp, of G2 and of the topic term, is libm's log or exp, the
 functions math.log and math.exp call: _log and _exp map them over an array in
 one native loop (lda.log_exp_kernels), or through math.log and math.exp where
 no compiler can build it; both give the same bits. np.log and np.exp are not
-used, because their SIMD loops differ from libm in the last bit.
+used, because their SIMD loops differ from libm in the last bit. An item
+column counts its co-ratings in the same library's integer loop, or by
+_co_counts where it is not built.
 """
 from __future__ import annotations
 
@@ -234,7 +236,8 @@ def _llr_rows(k11: np.ndarray, size_a, size_b, universe: int) -> np.ndarray:
 
 
 def _co_counts(ptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """For each of ``size`` column positions, how many of the CSR ``rows`` hold it."""
+    """For each of ``size`` column positions, how many of the CSR ``rows`` hold it.
+    The twin of _kernels.c's topiccf_co_counts: its fallback and its oracle."""
     return np.bincount(cols[csr_entries(ptr, rows)], minlength=size)
 
 
@@ -250,7 +253,12 @@ def item_llr_col(item: int, train: RatingDataset) -> np.ndarray:
     """item_llr_similarity(i, item, train).value for every train item i, in index order."""
     ix = train.index
     users = ix.item_users[csr_row(ix.item_ptr, ix.item_ids, item)]
-    k11 = _co_counts(ix.user_ptr, ix.user_items, users, len(ix.item_ids))
+    lib = lda.load_kernels()[0]
+    if lib is None:
+        k11 = _co_counts(ix.user_ptr, ix.user_items, users, len(ix.item_ids))
+    else:  # the same counts in one walk, without _co_counts' gathered entries
+        k11 = np.zeros(len(ix.item_ids), dtype=np.int64)
+        lib.topiccf_co_counts(len(users), users, ix.user_ptr, ix.user_items, k11)
     return _llr_rows(k11, ix.item_degree, len(users), train.num_users)
 
 

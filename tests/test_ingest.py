@@ -183,6 +183,34 @@ def test_index_equals_the_unique_and_searchsorted_derivation(case):
         assert np.array_equal(got, want), field
 
 
+def _span_records(low, span, rng):
+    """Ratings whose item ids run from low to low + span, both ends included: ids
+    that differ only above the lowest 16 bits, in both orders, and random ones."""
+    high = [low + span - k * (span // 3) for k in range(3)]
+    step = [low + (span >> s << s) for s in (16, 32, 48) if span >> s]
+    ids = np.array([low, *high, *step, *(low + span // 2 + np.arange(-2, 3))], dtype=np.int64)
+    picks = np.concatenate([ids, rng.choice(ids, 300),
+                            low + rng.integers(0, span, 100, dtype=np.uint64,
+                                               endpoint=True).astype(np.int64)])
+    users = rng.integers(-3, 40, len(picks))
+    return [RatingRecord(int(u), int(i), float(r)) for u, i, r in zip(
+        users, picks, rng.integers(1, 6, len(picks)))]
+
+
+@pytest.mark.parametrize("low,span", [(-7, 2**16 - 1), (3, 2**16), (-(2**20), 2**32),
+                                      (np.iinfo(np.int64).min, 2**64 - 1)],
+                         ids=["2^16-1", "2^16", "2^32", "int64-min-and-max"])
+def test_index_equals_the_argsort_derivation_at_digit_boundaries(low, span):
+    # The grouping sorts 16 bits of the id span per pass: one pass below 2**16, then more.
+    records = _span_records(low, span, np.random.default_rng(span % 1000))
+    ds = RatingDataset(records)
+    assert int(ds.index.item_ids[-1]) - int(ds.index.item_ids[0]) == span
+    for got, want, field in zip(ds.index, _index_by_unique(RatingDataset(records)),
+                                ingest.RatingIndex._fields):
+        assert got.dtype == want.dtype, field
+        assert np.array_equal(got, want), field
+
+
 def test_item_ids_agree_with_the_index_whichever_is_read_first():
     records = dict(_index_cases())["signed-and-big-ids"]
     counted, indexed = RatingDataset(records), RatingDataset(records)

@@ -430,6 +430,28 @@ def test_native_functions_refuse_arrays_of_another_type_or_layout(tmp_path, monk
                 fn(*args[:at], bad, *args[at + 1:])
 
 
+def test_co_counts_refuses_arrays_of_another_type_or_layout():
+    import ctypes
+
+    lib, how = lda.load_kernels()
+    if lib is None:
+        pytest.skip(how)
+    # Row 0 holds columns 0 and 2, row 1 holds column 1; count rows 1 and 0.
+    args = [2, np.array([1, 0], np.int32), np.array([0, 2, 3], np.int32),
+            np.array([0, 2, 1], np.int32), np.zeros(3, np.int64)]
+    lib.topiccf_co_counts(*args)
+    assert args[4].tolist() == [1, 1, 1]
+    read_only = np.zeros(3, np.int64)
+    read_only.flags.writeable = False
+    for at in range(1, 5):
+        other = np.int64 if args[at].dtype == np.int32 else np.int32
+        bad = [args[at].astype(other), np.repeat(args[at], 2)[::2]] + [read_only] * (at == 4)
+        for arg in bad:
+            with pytest.raises(ctypes.ArgumentError):
+                lib.topiccf_co_counts(*args[:at], arg, *args[at + 1:])
+    assert args[4].tolist() == [1, 1, 1]
+
+
 @pytest.mark.parametrize("home", ["shared", "absent"])
 def test_kernel_is_built_in_a_temporary_directory_without_a_private_cache(tmp_path, monkeypatch,
                                                                            home):

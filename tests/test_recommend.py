@@ -485,3 +485,33 @@ def test_every_neighbourhood_rejects_nonpositive_n(N):
                  lambda: build_neighborhood(u, lambda a, b: UNDEFINED, train, N)):
         with pytest.raises(ValueError, match=f"^N must be >= 1, got {N}$"):
             call()
+
+
+# ---------- recommendation writer ----------
+
+def test_writer_memory_stays_bounded_at_ml1m_size(tmp_path):
+    import tracemalloc
+
+    # 6040 users x 75 scores in 30 levels, as a topic list's k/N; some lists shorter, one empty.
+    rng = np.random.default_rng(4)
+    lengths = np.where(rng.random(6040) < 0.1, rng.integers(0, 75, 6040), 75)
+    lengths[17] = 0
+    recs = list(map(recommend.Recommendation, rng.integers(1, 3707, lengths.sum()).tolist(),
+                    (rng.integers(1, 31, lengths.sum()) / 30).tolist()))
+    ends = np.cumsum(lengths).tolist()
+    lists = {u: recommend.RecommendationList(u, tuple(recs[end - n:end]))
+             for u, n, end in zip(rng.permutation(np.arange(1, 6041)).tolist(), lengths.tolist(),
+                                  ends)}
+    path = tmp_path / "recs.csv"
+    tracemalloc.start()
+    try:
+        recommend.write_recommendations_csv(lists, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Keys built for every row at once peaked at about 68 MiB.
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    want = ["user_id,rank,item_id,score\n"] + [
+        f"{u},{rank},{r.item_id},{r.score!r}\n"
+        for u in sorted(lists) for rank, r in enumerate(lists[u].items, start=1)]
+    assert path.read_text(encoding="utf-8") == "".join(want)

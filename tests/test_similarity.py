@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topiccf.ingest import RatingDataset, RatingRecord
+from topiccf.ingest import RatingColumns, RatingDataset, RatingRecord
 from topiccf import lda, persona, similarity
 from topiccf.lda import ItemTopicProfile
 from topiccf.persona import UserPersona
@@ -693,6 +694,93 @@ def test_rows_on_the_math_fallback_equal_the_native_rows(monkeypatch):
     assert len(native) == len(fallback) == 3 * len(users) + len(items)
     for got, want in zip(fallback, native):
         assert (got == want).all()  # NaN positions included: their bits are equal too
+
+
+def test_native_calls_leave_no_reference_cycles():
+    # ndpointer's own conversion (arr.ctypes through ctypes.cast) left four objects
+    # per _log call that only the cyclic garbage collector frees.
+    x = np.linspace(0.5, 2.0, 64)
+    train = desk_instance()[0]
+    item = train.items()[0]
+    similarity._log(x), similarity.item_llr_col(item, train)  # load and index first
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            similarity._log(x)
+        for _ in range(100):
+            similarity.item_llr_col(item, train)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# ---------- item columns: native co-counts equal _co_counts ----------
+
+@pytest.fixture(scope="module")
+def ml1m_shape():
+    """A train set of MovieLens-1M shape: 6040 users x 3706 items, about 800k
+    ratings, user activity and item popularity both skewed."""
+    rng = np.random.default_rng(11)
+    n_users, n_items = 6040, 3706
+    activity = np.minimum(20 + rng.lognormal(4.25, 1.1, n_users), 2000)
+    popularity = 1.0 / (np.arange(n_items) + 20.0) ** 1.2
+    popularity = popularity[rng.permutation(n_items)] / popularity.sum()
+    users, items = [], []
+    for start in range(0, n_users, 500):
+        chance = np.minimum(activity[start:start + 500, None] * popularity, 1.0)
+        u, i = np.nonzero(rng.random(chance.shape) < chance)
+        users.append(u + start + 1)
+        items.append(i + 1)
+    user, item = np.concatenate(users), np.concatenate(items)
+    n = len(user)
+    return RatingDataset(RatingColumns(user, item, rng.integers(1, 6, n).astype(float),
+                                       np.zeros(n, np.int64), np.zeros(n, bool)))
+
+
+def _sampled_items(train, k=40):
+    """The ids of the 5 most and 5 least rated items and k at evenly spaced degree quantiles."""
+    ix = train.index
+    by_degree = ix.item_ids[np.argsort(ix.item_degree, kind="stable")]
+    picks = np.linspace(0, len(by_degree) - 1, k).astype(int)
+    return [*by_degree[:5].tolist(), *by_degree[picks].tolist(), *by_degree[-5:].tolist()]
+
+
+def test_native_co_counts_equal_the_numpy_twin(ml1m_shape):
+    lib, how = lda.load_kernels()
+    if lib is None:
+        pytest.skip(how)
+    desk = desk_instance()[0]
+    assert 750_000 < len(ml1m_shape) < 900_000 and ml1m_shape.num_items == 3706
+    for train, ids in ((desk, desk.items()), (ml1m_shape, _sampled_items(ml1m_shape))):
+        ix = train.index
+        for item in ids:
+            j = int(np.searchsorted(ix.item_ids, item))
+            users = ix.item_users[ix.item_ptr[j]:ix.item_ptr[j + 1]]
+            want = similarity._co_counts(ix.user_ptr, ix.user_items, users, len(ix.item_ids))
+            got = np.zeros(len(ix.item_ids), dtype=np.int64)
+            lib.topiccf_co_counts(len(users), users, ix.user_ptr, ix.user_items, got)
+            assert got.dtype == want.dtype and np.array_equal(got, want), item
+
+
+def test_item_columns_keep_their_bits_without_the_native_library(monkeypatch, ml1m_shape):
+    lib, how = lda.load_kernels()
+    if lib is None:
+        pytest.skip(how)
+    desk = desk_instance()[0]
+    # The last id of each is no train item: its column is all 0.0.
+    cases = [(desk, desk.items() + [max(desk.items()) + 1]),
+             (ml1m_shape, _sampled_items(ml1m_shape) + [0])]
+
+    def columns():
+        return [_bits(similarity.item_llr_col(i, train)) for train, ids in cases for i in ids]
+
+    native = columns()
+    monkeypatch.setattr(lda, "load_kernels", lambda: (None, "python (test)"))
+    fallback = columns()
+    assert len(native) == len(fallback) == len(desk.items()) + 1 + 51
+    for got, want in zip(fallback, native):
+        assert (got == want).all()
 
 
 # ---------- Pearson row: bit-identical to the per-pair function ----------
