@@ -13,9 +13,16 @@
  * topiccf_co_counts adds 1 to out[c] for each column c of the given rows of a
  * CSR array, row after row: the twin of topiccf.similarity._co_counts. Integer
  * counts only, so no rounding can differ.
+ *
+ * topiccf_write_ratings writes the csv rows ``user,item,<rating text>[,timestamp]``,
+ * each ending in a newline, into out and returns their length: the twin of the
+ * byte-matrix writer in topiccf.ingest.write_ratings_csv. A rating's text is
+ * copied from reprs, where Python's repr wrote it, so no float is formatted here;
+ * ids and timestamps are int64 in decimal, INT64_MIN included.
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 void topiccf_gibbs_sweep(long n, int T, const int32_t *words, const int32_t *doc_of,
                          int32_t *z, int32_t *n_dt, int32_t *n_wt, int32_t *n_t,
@@ -63,4 +70,44 @@ void topiccf_co_counts(long n, const int32_t *rows, const int32_t *ptr, const in
     for (long r = 0; r < n; r++)
         for (int32_t k = ptr[rows[r]]; k < ptr[rows[r] + 1]; k++)
             out[cols[k]]++;
+}
+
+static char *put_int64(char *p, int64_t v)
+{
+    char digits[20];
+    uint64_t rest = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;  /* INT64_MIN too */
+    int k = 0;
+    if (v < 0)
+        *p++ = '-';
+    do {
+        digits[k++] = (char)('0' + rest % 10);
+        rest /= 10;
+    } while (rest);
+    while (k)
+        *p++ = digits[--k];
+    return p;
+}
+
+/* Row r's rating text is reprs[reprs_ptr[code[r]]:reprs_ptr[code[r] + 1]]; out must
+ * hold n rows of up to 64 bytes plus the longest text. */
+long topiccf_write_ratings(long n, const int64_t *user, const int64_t *item,
+                           const int64_t *code, const uint8_t *reprs, const int64_t *reprs_ptr,
+                           const int64_t *stamp, const uint8_t *stamped, uint8_t *out)
+{
+    char *p = (char *)out;
+    for (long r = 0; r < n; r++) {
+        p = put_int64(p, user[r]);
+        *p++ = ',';
+        p = put_int64(p, item[r]);
+        *p++ = ',';
+        int64_t start = reprs_ptr[code[r]], len = reprs_ptr[code[r] + 1] - start;
+        memcpy(p, reprs + start, (size_t)len);
+        p += len;
+        if (stamped[r]) {
+            *p++ = ',';
+            p = put_int64(p, stamp[r]);
+        }
+        *p++ = '\n';
+    }
+    return (long)(p - (char *)out);
 }

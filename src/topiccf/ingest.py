@@ -6,7 +6,9 @@ Supported rating formats:
 
 Parsing, de-duplication, the split and the csv writer work on numpy columns
 (RatingColumns); a file numpy refuses goes to the line parser, which names
-the bad line or accepts what only it accepts.
+the bad line or accepts what only it accepts. The csv rows are written by
+_kernels.c's topiccf_write_ratings loop (lda.load_kernels), or without a
+compiler by its numpy twin.
 
 An item corpus is either a directory of ``<item_id>.txt`` UTF-8 files or a
 single TSV with ``item_id<TAB>text`` lines.
@@ -93,7 +95,7 @@ def _keep_last(cols: RatingColumns) -> RatingColumns:
     u, i = cols.user, cols.item
     if np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (i[1:] > i[:-1]))):
         return cols  # already in order without repeats: a written csv, a split half
-    order = np.lexsort((i, u))  # stable, so each (user, item) run keeps input order
+    order = _stable_order(i, u)  # stable, so each (user, item) run keeps input order
     u, i = u[order], i[order]
     last = np.ones(len(order), dtype=bool)
     last[:-1] = (u[1:] != u[:-1]) | (i[1:] != i[:-1])
@@ -142,20 +144,32 @@ def csr_entries(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
 
-def _stable_order(ids: np.ndarray) -> np.ndarray:
-    """np.argsort(ids, kind="stable") of the int64 ``ids``, by a least-significant-digit
-    radix sort: one stable argsort of a uint16 digit of ``ids - ids.min()`` (as uint64)
-    per 16 bits of the id span, which numpy sorts by counting. A stable order is
-    unique, so it is argsort's; at ML-1M shape one pass takes about a quarter of its time."""
-    if len(ids) == 0:
-        return np.argsort(ids, kind="stable")
-    key = (ids - ids.min()).view(np.uint64)  # wraps into the true span, < 2**64
+def _stable_order(*keys: np.ndarray) -> np.ndarray:
+    """np.lexsort(keys) of int64 keys of one length, given least significant first, by a
+    least-significant-digit radix sort: per key, one stable argsort of a uint16 digit
+    of ``key - key.min()`` (as uint64) per 16 bits of its span, which numpy sorts by
+    counting. A stable order is unique, so it is lexsort's (argsort's for one key); at
+    ML-1M shape one pass takes about a quarter of a stable argsort's time."""
+    if len(keys[0]) == 0:
+        return np.argsort(keys[0], kind="stable")
     order = None
-    for shift in range(0, max(int(key.max()).bit_length(), 1), 16):
-        digit = ((key if order is None else key[order]) >> np.uint64(shift)).astype(np.uint16)
-        step = np.argsort(digit, kind="stable")
-        order = step if order is None else order[step]
+    for ids in keys:
+        key = (ids - ids.min()).view(np.uint64)  # wraps into the true span, < 2**64
+        for shift in range(0, max(int(key.max()).bit_length(), 1), 16):
+            digit = ((key if order is None else key[order]) >> np.uint64(shift)).astype(np.uint16)
+            step = np.argsort(digit, kind="stable")
+            order = step if order is None else order[step]
     return order
+
+
+def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, ids[order], first): the ids grouped by _stable_order, and the mask of
+    the places in that order where a run of one id starts."""
+    order = _stable_order(ids)
+    grouped = ids[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = grouped[1:] != grouped[:-1]
+    return order, grouped, first
 
 
 class RatingDataset:
@@ -190,9 +204,12 @@ class RatingDataset:
 
     @cached_property
     def _item_ids(self) -> np.ndarray:
-        """The ascending item ids: the index's once it is built, else np.unique's,
-        so that counting the items builds no index."""
-        return self.index.item_ids if "index" in self.__dict__ else np.unique(self.columns.item)
+        """The ascending item ids: the index's once it is built, else the run heads of
+        the index's first step (_runs), so that counting the items builds no index."""
+        if "index" in self.__dict__:
+            return self.index.item_ids
+        _, grouped, first = _runs(self.columns.item)
+        return grouped[first]
 
     @cached_property
     def num_users(self) -> int:
@@ -212,19 +229,16 @@ class RatingDataset:
     def index(self) -> RatingIndex:
         """The ratings as user->item and item->user CSR arrays, built on first use.
 
-        One stable sort of the item ids (_stable_order) groups the ratings by
-        item, users ascending within an item (the rows are in user order); an
-        item's position is the count of distinct ids up to its run.
+        One stable sort of the item ids (_runs) groups the ratings by item,
+        users ascending within an item (the rows are in user order); an item's
+        position is the count of distinct ids up to its run.
         """
         user_ids, rows = self.user_runs
         item = self.columns.item
-        order = _stable_order(item)
-        grouped = item[order]
-        new = np.ones(len(item), dtype=bool)
-        new[1:] = grouped[1:] != grouped[:-1]
-        starts = np.flatnonzero(new)
+        order, grouped, first = _runs(item)
+        starts = np.flatnonzero(first)
         items = np.empty(len(item), dtype=np.int32)
-        items[order] = np.cumsum(new) - 1
+        items[order] = np.cumsum(first) - 1
         users = np.repeat(np.arange(len(user_ids), dtype=np.int32), np.diff(rows))
         user_ptr = rows.astype(np.int32)
         item_ptr = np.append(starts, len(item)).astype(np.int32)
@@ -406,21 +420,46 @@ def _ascii_reprs(values: np.ndarray) -> np.ndarray:
     return text[inverse].reshape(-1, 1).view(np.uint8)
 
 
+def _csv_bytes(c: RatingColumns) -> bytes:
+    """The csv rows of the columns, assembled as one byte matrix, a column per
+    character position, whose NUL padding is then dropped: the twin of _kernels.c's
+    topiccf_write_ratings, its fallback and its oracle."""
+    comma = np.full((len(c.user), 1), ord(","), dtype=np.uint8)
+    stamp = np.hstack([comma, _ascii_ints(c.timestamp)])
+    stamp[~c.has_timestamp] = 0
+    newline = np.full((len(c.user), 1), ord("\n"), dtype=np.uint8)
+    cells = np.hstack([_ascii_ints(c.user), comma, _ascii_ints(c.item), comma,
+                       _ascii_reprs(c.rating), stamp, newline])
+    return cells[cells != 0].tobytes()
+
+
+_WRITE_ROWS = 1 << 14  # rows topiccf_write_ratings writes at a time
+
+
 def write_ratings_csv(ds: RatingDataset, path) -> None:
     """Write header-less ``user,item,rating[,timestamp]`` rows in (user, item) order.
 
-    The rows are assembled as one byte matrix, a column per character
-    position, whose NUL padding is then dropped.
+    The native loop (lda.load_kernels) writes _WRITE_ROWS rows at a time through one
+    buffer, copying each rating's repr (float_reprs); without it _csv_bytes
+    assembles the same bytes.
     """
-    c = ds.columns
-    comma = np.full((len(ds), 1), ord(","), dtype=np.uint8)
-    stamp = np.hstack([comma, _ascii_ints(c.timestamp)])
-    stamp[~c.has_timestamp] = 0
-    newline = np.full((len(ds), 1), ord("\n"), dtype=np.uint8)
-    cells = np.hstack([_ascii_ints(c.user), comma, _ascii_ints(c.item), comma,
-                       _ascii_reprs(c.rating), stamp, newline])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(cells[cells != 0].tobytes().decode("ascii"))
+    from . import lda  # lda imports this module
+
+    lib, c = lda.load_kernels()[0], ds.columns
+    with open(path, "wb") as fh:
+        if lib is None:
+            fh.write(_csv_bytes(c))
+            return
+        text, code = float_reprs(c.rating)
+        reprs = np.frombuffer("".join(text).encode(), dtype=np.uint8)
+        reprs_ptr = np.cumsum([0, *map(len, text)], dtype=np.int64)
+        stamped = c.has_timestamp.view(np.uint8)
+        buf = np.empty(_WRITE_ROWS * (64 + max(map(len, text), default=0)), dtype=np.uint8)
+        for start in range(0, len(ds), _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            n = lib.topiccf_write_ratings(len(code[rows]), c.user[rows], c.item[rows], code[rows],
+                                          reprs, reprs_ptr, c.timestamp[rows], stamped[rows], buf)
+            fh.write(buf[:n])
 
 
 def _corpus_entries(source) -> Iterator[tuple[str, str | Path]]:

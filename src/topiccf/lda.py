@@ -14,9 +14,10 @@ After the final sweep the point estimates are
 Everything is deterministic given (corpus, T, alpha_sum, beta, iterations, seed).
 A sweep runs in the C kernel _kernels.c where a compiler can build it
 (gibbs_kernel), else in _sweep_python; both give the same bits. The same
-library holds the log and exp loops of the similarity rows (log_exp_kernels)
-and the co-count loop of the item-LLR columns (load_kernels). Every array
-argument goes to C as a plain pointer, so a call leaves no reference cycle.
+library holds the log and exp loops of the similarity rows (log_exp_kernels),
+the co-count loop of the item-LLR columns and the ratings csv writer
+(topiccf_write_ratings, for ingest.write_ratings_csv), both through load_kernels.
+Every array argument goes to C as a plain pointer, so a call leaves no reference cycle.
 """
 from __future__ import annotations
 
@@ -327,17 +328,18 @@ def load_kernels():
     except (OSError, subprocess.SubprocessError) as exc:
         return None, f"python ({exc})"
     c_long, c_int, c_double = ctypes.c_long, ctypes.c_int, ctypes.c_double
-    i32, i32_out, f64, f64_out = (_array_arg(t, f) for t in (np.int32, np.float64)
-                                  for f in ("C_CONTIGUOUS", "C_CONTIGUOUS,WRITEABLE"))
+    (i32, i32_out), (f64, f64_out), (i64, i64_out), (u8, u8_out) = (
+        [_array_arg(t, f) for f in ("C_CONTIGUOUS", "C_CONTIGUOUS,WRITEABLE")]
+        for t in (np.int32, np.float64, np.int64, np.uint8))
     loop = [c_long, f64, f64_out]  # fn(n, x, out)
     signatures = {"topiccf_gibbs_sweep": [c_long, c_int, i32, i32, *[i32_out] * 4, f64,
                                           c_double, c_double, c_double, f64_out],
                   "topiccf_log": loop, "topiccf_exp": loop,
-                  "topiccf_co_counts": [c_long, i32, i32, i32,
-                                        _array_arg(np.int64, "C_CONTIGUOUS,WRITEABLE")]}
-    for name, argtypes in signatures.items():  # every function returns void
+                  "topiccf_co_counts": [c_long, i32, i32, i32, i64_out],
+                  "topiccf_write_ratings": [c_long, i64, i64, i64, u8, i64, i64, u8, u8_out]}
+    for name, argtypes in signatures.items():  # all return void but the writer's length
         fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, None
+        fn.argtypes, fn.restype = argtypes, c_long if name == "topiccf_write_ratings" else None
     return lib, f"native ({so})"
 
 

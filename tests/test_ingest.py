@@ -1,4 +1,5 @@
 import io
+import math
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from topiccf.ingest import (
     FORMATS,
     ConfigurationError,
     ParseError,
+    RatingColumns,
     RatingDataset,
     RatingRangeError,
     RatingRecord,
@@ -197,9 +199,14 @@ def _span_records(low, span, rng):
         users, picks, rng.integers(1, 6, len(picks)))]
 
 
-@pytest.mark.parametrize("low,span", [(-7, 2**16 - 1), (3, 2**16), (-(2**20), 2**32),
-                                      (np.iinfo(np.int64).min, 2**64 - 1)],
-                         ids=["2^16-1", "2^16", "2^32", "int64-min-and-max"])
+# Id spans either side of the radix sort's 16-bit digits, up to int64's whole range.
+_SPANS = pytest.mark.parametrize(
+    "low,span", [(-7, 2**16 - 1), (3, 2**16), (-(2**20), 2**32),
+                 (np.iinfo(np.int64).min, 2**64 - 1)],
+    ids=["2^16-1", "2^16", "2^32", "int64-min-and-max"])
+
+
+@_SPANS
 def test_index_equals_the_argsort_derivation_at_digit_boundaries(low, span):
     # The grouping sorts 16 bits of the id span per pass: one pass below 2**16, then more.
     records = _span_records(low, span, np.random.default_rng(span % 1000))
@@ -220,6 +227,68 @@ def test_item_ids_agree_with_the_index_whichever_is_read_first():
     for ds in (counted, indexed):
         assert ds.items() == ds.index.item_ids.tolist() == sorted({r.item_id for r in records})
         assert ds.num_items == len(ds.index.item_ids)
+
+
+def _spanned_columns(low, span, rows=3000, seed=0):
+    """Unsorted rating columns whose user and item ids each run from low to low + span,
+    both ends included, drawn from a few dozen ids so that many (user, item) pairs
+    repeat; each row's rating is its own, so the one kept shows which row won."""
+    rng = np.random.default_rng(seed)
+    ids = np.array([low, low + span, low + span // 2, *(low + (span >> s << s)
+                   for s in (16, 32, 48) if span >> s)], dtype=np.int64)
+    ids = np.concatenate([ids, low + rng.integers(0, span, 20, dtype=np.uint64,
+                                                  endpoint=True).astype(np.int64)])
+    user, item = rng.choice(ids[:8], rows), rng.choice(ids, rows)
+    user[:2], item[:2] = ids[:2], ids[1::-1]  # both ends as user and as item
+    rating = 1.0 + np.arange(rows) / rows
+    return RatingColumns(user, item, rating, rng.integers(-5, 5, rows), rng.random(rows) < 0.5)
+
+
+def _keep_last_by_lexsort(cols):
+    """One row per (user, item), the last one given, in (user, item) order, by np.lexsort."""
+    order = np.lexsort((cols.item, cols.user))
+    u, i = cols.user[order], cols.item[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (u[1:] != u[:-1]) | (i[1:] != i[:-1])
+    return cols.take(order[last])
+
+
+@_SPANS
+def test_keep_last_equals_the_lexsort_oracle_at_digit_boundaries(low, span):
+    given = _spanned_columns(low, span)
+    ds, want = RatingDataset(given), _keep_last_by_lexsort(given)
+    assert int(ds.columns.user.max()) - int(ds.columns.user.min()) == span
+    assert int(ds.columns.item.max()) - int(ds.columns.item.min()) == span
+    assert ds.duplicates_dropped == len(given.user) - len(want.user) > 1000
+    for got, expected in zip(ds.columns, want):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", [name for name, _ in _index_cases()])
+def test_keep_last_equals_the_lexsort_oracle(case):
+    records = dict(_index_cases())[case]
+    given = RatingColumns(*(np.array(c, dtype=d) for c, d in
+                            zip(ingest._columns_of(records), ingest._DTYPES)))
+    ds, want = RatingDataset(records), _keep_last_by_lexsort(given)
+    assert ds.duplicates_dropped == len(records) - len(want.user)
+    for got, expected in zip(ds.columns, want):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@_SPANS
+def test_stable_order_of_several_keys_is_lexsorts(low, span):
+    c = _spanned_columns(low, span, seed=1)
+    for keys in ((c.item,), (c.item, c.user), (c.user, c.item), (c.timestamp, c.item, c.user)):
+        assert np.array_equal(ingest._stable_order(*keys), np.lexsort(keys))
+
+
+@_SPANS
+def test_item_count_without_an_index_is_uniques(low, span):
+    ds = RatingDataset(_spanned_columns(low, span, seed=2))
+    want = np.unique(ds.columns.item)
+    assert ds.num_items == len(want)
+    assert ds.items() == want.tolist()
+    assert "index" not in ds.__dict__
 
 
 def test_load_corpus_directory(tmp_path):
@@ -529,6 +598,88 @@ def test_mixed_timestamp_csv_writes_back_byte_identical(tmp_path):
     path = tmp_path / "out.csv"
     write_ratings_csv(parse_ratings(io.StringIO(text), "csv"), path)
     assert path.read_text(encoding="utf-8") == text
+
+
+def _native_and_twin_csv(ds, tmp_path, monkeypatch):
+    """The bytes write_ratings_csv writes of ds on the native loop and on its twin."""
+    if lda.load_kernels()[0] is None:
+        pytest.skip(lda.load_kernels()[1])
+    native, twin = tmp_path / "native.csv", tmp_path / "twin.csv"
+    write_ratings_csv(ds, native)
+    with monkeypatch.context() as m:
+        m.setattr(lda, "load_kernels", lambda: (None, "python (test)"))
+        write_ratings_csv(ds, twin)
+    return native.read_bytes(), twin.read_bytes()
+
+
+def _csv_by_lines(ds):
+    """The csv write_ratings_csv should write, formatted row by row."""
+    return "".join(f"{r.user_id},{r.item_id},{r.rating!r}"
+                   + ("" if r.timestamp is None else f",{r.timestamp}") + "\n"
+                   for r in ds_records(ds)).encode()
+
+
+_I64 = np.iinfo(np.int64)
+
+
+def _writer_cases():
+    lo, hi = _I64.min, _I64.max
+    yield "extreme-ids", [RatingRecord(u, i, 3.0, t) for u, i, t in [
+        (lo, hi, lo), (lo, lo, hi), (hi, lo, None), (hi, hi, -1), (-1, -(10**18), 0),
+        (0, 0, None), (-9, 7, -(10**17))]]
+    yield "no-rows", []
+    yield "no-timestamps", [RatingRecord(u, i, float(i % 5 + 1)) for u in (2, 1) for i in (9, 3)]
+    yield "mixed-timestamps", [RatingRecord(u, i, 1.5 + i % 3, None if (u + i) % 3 else u * i)
+                               for u in range(-3, 4) for i in range(5)]
+    yield "odd-ratings", [RatingRecord(1, i, r, i) for i, r in enumerate(
+        [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e16, -1e16, 1e-300, 5e-324,
+         1.7976931348623157e308, 1.0000000000000002, 0.1 + 0.2, -3.0])]
+
+
+@pytest.mark.parametrize("case", [name for name, _ in _writer_cases()])
+def test_native_csv_writer_equals_its_twin(case, tmp_path, monkeypatch):
+    ds = RatingDataset(dict(_writer_cases())[case])
+    native, twin = _native_and_twin_csv(ds, tmp_path, monkeypatch)
+    assert native == twin == _csv_by_lines(ds)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4, 5, 8, 9, 13])
+def test_native_csv_writer_equals_its_twin_across_blocks(rows, tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_WRITE_ROWS", 4)
+    rng = np.random.default_rng(rows)
+    ds = RatingDataset([RatingRecord(u, int(rng.integers(-(2**62), 2**62)), 1.0 + u % 9 / 2,
+                                     None if u % 3 else -u) for u in range(rows)])
+    native, twin = _native_and_twin_csv(ds, tmp_path, monkeypatch)
+    assert native == twin == _csv_by_lines(ds)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_native_csv_writer_equals_its_twin_at_a_full_block(extra, tmp_path, monkeypatch):
+    rows = ingest._WRITE_ROWS + extra
+    rng = np.random.default_rng(rows)
+    ds = RatingDataset(RatingColumns(np.arange(rows) - rows // 2, rng.integers(_I64.min, _I64.max,
+                                     rows, endpoint=True), rng.integers(1, 6, rows) / 2.0,
+                                     rng.integers(-(10**12), 10**12, rows), rng.random(rows) < 0.7))
+    native, twin = _native_and_twin_csv(ds, tmp_path, monkeypatch)
+    assert native == twin == _csv_by_lines(ds)
+
+
+def test_native_csv_writer_refuses_arrays_of_another_type_or_layout():
+    import ctypes
+
+    lib, how = lda.load_kernels()
+    if lib is None:
+        pytest.skip(how)
+    one, read_only = np.array([-1], np.int64), np.empty(68, np.uint8)
+    read_only.flags.writeable = False
+    args = [1, one, one, np.array([0], np.int64), np.frombuffer(b"3.0", np.uint8),
+            np.array([0, 3], np.int64), one, np.ones(1, np.uint8), np.empty(68, np.uint8)]
+    n = lib.topiccf_write_ratings(*args)
+    assert args[8][:n].tobytes() == b"-1,-1,3.0,-1\n"
+    for at, bad in [(1, one.astype(np.int32)), (3, np.zeros(4, np.int64)[::2]),
+                    (7, np.ones(1, bool)), (8, read_only)]:
+        with pytest.raises(ctypes.ArgumentError):
+            lib.topiccf_write_ratings(*args[:at], bad, *args[at + 1:])
 
 
 def test_columns_hold_the_ratings_in_pair_order():
