@@ -1,4 +1,6 @@
 /* Native loops of topiccf, each the twin of a Python oracle with the same bits.
+ * Python reaches them only through topiccf.lda.load_kernels, which compiles and
+ * loads this file once per process; where it cannot, each caller runs the twin.
  *
  * topiccf_gibbs_sweep is one collapsed Gibbs sweep over a flat token stream,
  * the twin of topiccf.lda._sweep_python: the arithmetic and its order are the
@@ -15,8 +17,8 @@
  * counts only, so no rounding can differ.
  *
  * topiccf_write_ratings writes the csv rows ``user,item,<rating text>[,timestamp]``,
- * each ending in a newline, into out and returns their length: the twin of the
- * byte-matrix writer in topiccf.ingest.write_ratings_csv. A rating's text is
+ * each ending in a newline, into out and returns their length: the twin of
+ * topiccf.ingest._csv_rows, which formats them row by row. A rating's text is
  * copied from reprs, where Python's repr wrote it, so no float is formatted here;
  * ids and timestamps are int64 in decimal, INT64_MIN included.
  */

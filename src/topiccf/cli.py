@@ -208,7 +208,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
     vocab, encoded = lda.build_vocabulary(corpus, stops, cfg.min_df)
     print(f"corpus: {len(encoded)} documents, vocabulary {len(vocab)}, "
           f"{encoded.total_tokens()} tokens")
-    print(f"gibbs: {lda.gibbs_kernel()[1]}")
+    print(f"gibbs: {lda.load_kernels()[1]}")
     model = lda.train_lda(
         encoded, vocab,
         T=cfg.topics, alpha_sum=cfg.alpha_sum, beta=cfg.beta,

@@ -67,7 +67,8 @@ def evaluate_sweep(
     is their items rated at least ``relevance_threshold`` (all when None).
     ``recommender(user)`` must return the user's full list (up to max_K items).
     ``detail_sink``, when given, receives per-user csv lines
-    ``user_id,K,precision,recall,f``.
+    ``user_id,K,precision,recall,f``. ``train`` is not read; it stays because
+    callers pass the arguments by position (bench/workloads.py among them).
     """
     Ks = sorted(Ks)
     if len(set(Ks)) != len(Ks):

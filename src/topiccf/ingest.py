@@ -8,7 +8,7 @@ Parsing, de-duplication, the split and the csv writer work on numpy columns
 (RatingColumns); a file numpy refuses goes to the line parser, which names
 the bad line or accepts what only it accepts. The csv rows are written by
 _kernels.c's topiccf_write_ratings loop (lda.load_kernels), or without a
-compiler by its numpy twin.
+compiler by its twin, which formats them row by row.
 
 An item corpus is either a directory of ``<item_id>.txt`` UTF-8 files or a
 single TSV with ``item_id<TAB>text`` lines.
@@ -389,18 +389,6 @@ def parse_ratings(source, fmt: str = "movielens_dat") -> RatingDataset:
     return _parse_lines(text, fmt) if columns is None else RatingDataset(columns)
 
 
-def _ascii_ints(values: np.ndarray) -> np.ndarray:
-    """Each int64 value's decimal text as a row of ASCII bytes, NUL-padded on the left."""
-    rest = np.abs(values).astype(np.uint64)  # abs(int64 min) wraps; as uint64 it is right
-    width = len(str(int(rest.max()))) if len(rest) else 1
-    cells = np.zeros((len(values), width + 1), dtype=np.uint8)
-    cells[:, 0] = np.where(values < 0, ord("-"), 0)
-    for k in range(width, 0, -1):
-        cells[:, k] = np.where((rest > 0) | (k == width), rest % 10 + ord("0"), 0)
-        rest //= 10
-    return cells
-
-
 def float_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     """(the repr of each distinct float64 value, each value's index into that list),
     the values raveled: every distinct value is formatted once.
@@ -413,42 +401,30 @@ def float_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     return [repr(v) for v in distinct.view(np.float64).tolist()], inverse
 
 
-def _ascii_reprs(values: np.ndarray) -> np.ndarray:
-    """Each float's repr as a row of ASCII bytes, NUL-padded on the right."""
-    text, inverse = float_reprs(values)
-    text = np.array([t.encode() for t in text], dtype=bytes)
-    return text[inverse].reshape(-1, 1).view(np.uint8)
-
-
-def _csv_bytes(c: RatingColumns) -> bytes:
-    """The csv rows of the columns, assembled as one byte matrix, a column per
-    character position, whose NUL padding is then dropped: the twin of _kernels.c's
+def _csv_rows(c: RatingColumns) -> bytes:
+    """The csv rows of the columns, formatted row by row: the twin of _kernels.c's
     topiccf_write_ratings, its fallback and its oracle."""
-    comma = np.full((len(c.user), 1), ord(","), dtype=np.uint8)
-    stamp = np.hstack([comma, _ascii_ints(c.timestamp)])
-    stamp[~c.has_timestamp] = 0
-    newline = np.full((len(c.user), 1), ord("\n"), dtype=np.uint8)
-    cells = np.hstack([_ascii_ints(c.user), comma, _ascii_ints(c.item), comma,
-                       _ascii_reprs(c.rating), stamp, newline])
-    return cells[cells != 0].tobytes()
+    return "".join(f"{u},{i},{r!r},{t}\n" if stamped else f"{u},{i},{r!r}\n"
+                   for u, i, r, t, stamped in zip(*(col.tolist() for col in c))).encode()
 
 
-_WRITE_ROWS = 1 << 14  # rows topiccf_write_ratings writes at a time
+_WRITE_ROWS = 1 << 14  # rows written at a time
 
 
 def write_ratings_csv(ds: RatingDataset, path) -> None:
     """Write header-less ``user,item,rating[,timestamp]`` rows in (user, item) order.
 
     The native loop (lda.load_kernels) writes _WRITE_ROWS rows at a time through one
-    buffer, copying each rating's repr (float_reprs); without it _csv_bytes
-    assembles the same bytes.
+    buffer, copying each rating's repr (float_reprs); without it _csv_rows formats
+    the same bytes, _WRITE_ROWS rows at a time, so memory does not grow with the file.
     """
     from . import lda  # lda imports this module
 
     lib, c = lda.load_kernels()[0], ds.columns
     with open(path, "wb") as fh:
         if lib is None:
-            fh.write(_csv_bytes(c))
+            for start in range(0, len(ds), _WRITE_ROWS):
+                fh.write(_csv_rows(c.take(slice(start, start + _WRITE_ROWS))))
             return
         text, code = float_reprs(c.rating)
         reprs = np.frombuffer("".join(text).encode(), dtype=np.uint8)

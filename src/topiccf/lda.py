@@ -12,12 +12,13 @@ After the final sweep the point estimates are
     phi[t][w]   = (n_tw + beta)  / (n_t + V*beta)
 
 Everything is deterministic given (corpus, T, alpha_sum, beta, iterations, seed).
-A sweep runs in the C kernel _kernels.c where a compiler can build it
-(gibbs_kernel), else in _sweep_python; both give the same bits. The same
-library holds the log and exp loops of the similarity rows (log_exp_kernels),
-the co-count loop of the item-LLR columns and the ratings csv writer
-(topiccf_write_ratings, for ingest.write_ratings_csv), both through load_kernels.
-Every array argument goes to C as a plain pointer, so a call leaves no reference cycle.
+A sweep runs in the C library _kernels.c where a compiler can build it, else
+in _sweep_python; both give the same bits. The same library holds the log and
+exp loops of the similarity rows, the co-count loop of the item-LLR columns and
+the ratings csv writer. load_kernels is the one way any module reaches it: a
+caller takes its function from ``load_kernels()[0]``, or its Python twin where
+that is None. Every array argument goes to C as a plain pointer, so a call
+leaves no reference cycle.
 """
 from __future__ import annotations
 
@@ -48,11 +49,6 @@ def rows_sum_to_one(block: np.ndarray) -> np.ndarray:
     """Whether each row of the 2-D block sums to 1 within SUM_TOLERANCE; never
     for a NaN sum. Each row's sum is numpy's sum of that row alone."""
     return np.abs(block.sum(axis=1) - 1.0) <= SUM_TOLERANCE
-
-
-def sums_to_one(d: np.ndarray) -> bool:
-    """rows_sum_to_one of the one row d."""
-    return bool(rows_sum_to_one(d.reshape(1, -1))[0])
 
 
 def check_smoothing(alpha_sum: float, beta: float) -> None:
@@ -192,7 +188,8 @@ def train_lda(
     n_t = np.bincount(z, minlength=T).astype(np.int32)
     words, doc_of, z = words.astype(np.int32), doc_of.astype(np.int32), z.astype(np.int32)
 
-    sweep = gibbs_kernel()[0] or _sweep_python
+    lib = load_kernels()[0]
+    sweep = _sweep_python if lib is None else lib.topiccf_gibbs_sweep
     cum = np.empty(T)
     for it in range(iterations):
         sweep(n, T, words, doc_of, z, n_dt, n_wt, n_t, rng.random(n), alpha, beta, vbeta, cum)
@@ -343,23 +340,6 @@ def load_kernels():
     return lib, f"native ({so})"
 
 
-@functools.cache
-def gibbs_kernel() -> tuple[Callable | None, str]:
-    """The Gibbs sweep train_lda runs: (the compiled kernel, "native (<.so path>)"), or
-    (None, "python (<why not>)") when load_kernels cannot give it."""
-    lib, how = load_kernels()
-    return (None if lib is None else lib.topiccf_gibbs_sweep), how
-
-
-@functools.cache
-def log_exp_kernels() -> tuple[tuple[Callable, Callable] | None, str]:
-    """libm's log and exp mapped over arrays, as similarity takes them: ((log, exp), "native
-    (<.so path>)"), each called as fn(n, x, out); or (None, "python (<why not>)") when
-    load_kernels cannot give them."""
-    lib, how = load_kernels()
-    return (None if lib is None else (lib.topiccf_log, lib.topiccf_exp)), how
-
-
 def _estimates(n_dt, n_wt, docs, alpha, alpha_sum, beta, vbeta):
     doc_lens = np.array([len(d) for d in docs], dtype=float)
     theta = (np.array(n_dt, dtype=float) + alpha) / (doc_lens[:, None] + alpha_sum)
@@ -406,7 +386,11 @@ def write_rows(fh: TextIO, keys: Sequence[Sequence[str]], values: np.ndarray) ->
     Rows go in blocks of about _BLOCK_CELLS values. Within a block each distinct
     value is formatted once and one join makes the lines. A block's strings stay
     in cache: the 302k all-distinct persona values of an ML-1M run write about
-    20% faster in blocks than all at once.
+    20% faster in blocks than all at once. The dedup stays because the topic
+    lists' scores are k/N fractions of few levels: 453k scores at 30 levels
+    write in 0.06 s against 0.19 s with a repr per value, while 453k
+    all-distinct values cost 9% more (0.254 against 0.233 s; process CPU, best
+    of 3, 2-core x86 VM).
     """
     n, width = values.shape
     step = max(1, _BLOCK_CELLS // max(width, 1))
@@ -481,7 +465,7 @@ def _topic_lines(path, lines: list[tuple[int, str]], zero_ok: bool):
             raise ParseError(line_no, f"{path}: {len(dist)} values, expected {width}")
         if (dist < 0).any():
             raise ParseError(line_no, f"{path}: negative value {float(dist.min())!r}")
-        if not sums_to_one(dist) and (dist.any() or not zero_ok):
+        if not rows_sum_to_one(dist[None])[0] and (dist.any() or not zero_ok):
             raise ParseError(line_no, f"{path}: values sum to {float(dist.sum())!r}, not 1")
     return rows
 

@@ -23,8 +23,8 @@ numpy picks for the CPU.
 
 Every log and exp, of G2 and of the topic term, is libm's log or exp, the
 functions math.log and math.exp call: _log and _exp map them over an array in
-one native loop (lda.log_exp_kernels), or through math.log and math.exp where
-no compiler can build it; both give the same bits. np.log and np.exp are not
+one native loop of the library lda.load_kernels gives, or through math.log and
+math.exp where it is None; both give the same bits. np.log and np.exp are not
 used, because their SIMD loops differ from libm in the last bit. An item
 column counts its co-ratings in the same library's integer loop, or by
 _co_counts where it is not built.
@@ -98,27 +98,28 @@ def _floored_log(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, _log(d)
 
 
-def _libm(x: np.ndarray, which: int, scalar) -> np.ndarray:
-    """scalar(v) for each value v of x, in x's shape; scalar is math.log (which = 0)
-    or math.exp (1). The native loop over the same libm function does it where
-    it loads, else it is mapped value by value."""
+def _libm(x: np.ndarray, name: str, scalar) -> np.ndarray:
+    """scalar(v) for each value v of x, in x's shape; scalar is math.log or math.exp,
+    and name the library's loop over the same libm function ("topiccf_log" or
+    "topiccf_exp"), which does it where the library loads; else scalar is mapped
+    value by value."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    loops = lda.log_exp_kernels()[0]
-    if loops is None:
+    lib = lda.load_kernels()[0]
+    if lib is None:
         return np.fromiter(map(scalar, x.flat), float, x.size).reshape(x.shape)
     out = np.empty_like(x)
-    loops[which](x.size, x, out)
+    getattr(lib, name)(x.size, x, out)
     return out
 
 
 def _log(x: np.ndarray) -> np.ndarray:
     """math.log of each value of x, all > 0 (math.log raises where C's log does not)."""
-    return _libm(x, 0, math.log)
+    return _libm(x, "topiccf_log", math.log)
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
     """math.exp of each value of x, all finite."""
-    return _libm(x, 1, math.exp)
+    return _libm(x, "topiccf_exp", math.exp)
 
 
 def _kl_rows(p: np.ndarray, lp: np.ndarray, q: np.ndarray, lq: np.ndarray) -> np.ndarray:

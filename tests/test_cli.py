@@ -559,10 +559,10 @@ def test_non_finite_or_negative_smoothing_is_a_configuration_error(tiny_inputs, 
 
 
 def test_train_says_which_gibbs_sweep_ran(tiny_inputs, tmp_path, capsys, monkeypatch):
-    kernel, how = lda.gibbs_kernel()
-    assert how.startswith("native (" if kernel else "python (")
+    lib, how = lda.load_kernels()
+    assert how.startswith("native (" if lib else "python (")
     for run, sweep in (("o1", how), ("o2", "python (no compiler)")):
-        monkeypatch.setattr(lda, "gibbs_kernel", lambda sweep=sweep: (kernel, sweep))
+        monkeypatch.setattr(lda, "load_kernels", lambda sweep=sweep: (lib, sweep))
         out = tmp_path / run
         args = _base_args(*tiny_inputs, out)
         assert main(["split"] + args) == 0

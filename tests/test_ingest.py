@@ -664,6 +664,27 @@ def test_native_csv_writer_equals_its_twin_at_a_full_block(extra, tmp_path, monk
     assert native == twin == _csv_by_lines(ds)
 
 
+def test_csv_twin_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
+    # The twin formats _WRITE_ROWS rows at a time, so its peak is a block's strings
+    # (about 4 MiB); the whole file at once would hold about 90 bytes a row.
+    import tracemalloc
+
+    rows = 200_000
+    rng = np.random.default_rng(2)
+    ds = RatingDataset(RatingColumns(np.arange(rows), rng.integers(1, 4000, rows),
+                                     rng.integers(2, 11, rows) / 2.0,
+                                     rng.integers(10**9, 2 * 10**9, rows), rng.random(rows) < 0.9))
+    monkeypatch.setattr(lda, "load_kernels", lambda: (None, "python (test)"))
+    tracemalloc.start()
+    try:
+        write_ratings_csv(ds, tmp_path / "ratings.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "ratings.csv").read_bytes().count(b"\n") == rows
+    assert peak < 8 * 2**20, peak
+
+
 def test_native_csv_writer_refuses_arrays_of_another_type_or_layout():
     import ctypes
 

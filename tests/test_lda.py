@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from topiccf import lda
-from topiccf.ingest import ConfigurationError, DocumentCorpus, ParseError
+from topiccf import ingest, lda, similarity
+from topiccf.ingest import (ConfigurationError, DocumentCorpus, ParseError, RatingDataset,
+                            RatingRecord, write_ratings_csv)
 from topiccf.lda import (
     EncodedCorpus,
     TopicModel,
@@ -208,9 +209,9 @@ def test_quick_two_topic_recovery():
 def sweep(request, monkeypatch):
     """Runs a test once on the compiled Gibbs kernel and once on the Python sweep."""
     if request.param == "python":
-        monkeypatch.setattr(lda, "gibbs_kernel", lambda: (None, "python (test)"))
-    elif lda.gibbs_kernel()[0] is None:
-        pytest.skip(lda.gibbs_kernel()[1])
+        monkeypatch.setattr(lda, "load_kernels", lambda: (None, "python (test)"))
+    elif lda.load_kernels()[0] is None:
+        pytest.skip(lda.load_kernels()[1])
     return request.param
 
 
@@ -285,14 +286,14 @@ _SWEEP_CASES = {
 
 @pytest.mark.parametrize("case", list(_SWEEP_CASES))
 def test_native_sweep_is_bit_identical_to_python_sweep(case, monkeypatch):
-    native = lda.gibbs_kernel()[0]
+    native = lda.load_kernels()[0]
     if native is None:
-        pytest.skip(lda.gibbs_kernel()[1])
+        pytest.skip(lda.load_kernels()[1])
     corpus, stopwords, kwargs = _SWEEP_CASES[case]
     vocab, encoded = build_vocabulary(corpus, stopwords)
     runs = []
-    for kernel in (native, None):
-        monkeypatch.setattr(lda, "gibbs_kernel", lambda kernel=kernel: (kernel, ""))
+    for lib in (native, None):
+        monkeypatch.setattr(lda, "load_kernels", lambda lib=lib: (lib, ""))
         seen = []
         model = train_lda(encoded, vocab, seed=11, on_progress=lambda *p: seen.append(p), **kwargs)
         runs.append((model.assignments, model.theta.tobytes(), model.phi.tobytes(), seen))
@@ -303,9 +304,9 @@ def test_native_sweep_is_bit_identical_to_python_sweep(case, monkeypatch):
 def test_native_topic_weights_are_bit_identical_token_by_token():
     # A last-bit change in a topic weight almost never changes a sampled topic,
     # so the models above cannot see one; the cumulative weights of every token can.
-    native = lda.gibbs_kernel()[0]
-    if native is None:
-        pytest.skip(lda.gibbs_kernel()[1])
+    lib, how = lda.load_kernels()
+    if lib is None:
+        pytest.skip(how)
     rng = np.random.default_rng(3)
     n, D, V, T = 1000, 20, 100, 50
     words = rng.integers(0, V, n).astype(np.int32)
@@ -318,7 +319,8 @@ def test_native_topic_weights_are_bit_identical_token_by_token():
     u = rng.random(n)
     for i in range(n):
         token = slice(i, i + 1)
-        for sweep, (zs, n_dt, n_wt, n_t, cum) in zip((native, lda._sweep_python), states):
+        for sweep, (zs, n_dt, n_wt, n_t, cum) in zip((lib.topiccf_gibbs_sweep,
+                                                      lda._sweep_python), states):
             sweep(1, T, words[token], doc_of[token], zs[token], n_dt, n_wt, n_t, u[token],
                   1.0, 0.01, V * 0.01, cum)
         assert states[0][4].tobytes() == states[1][4].tobytes(), i
@@ -326,28 +328,23 @@ def test_native_topic_weights_are_bit_identical_token_by_token():
         assert np.array_equal(native_part, python_part)
 
 
-def _clear_kernel_caches():
-    for loader in (lda.load_kernels, lda.gibbs_kernel, lda.log_exp_kernels):
-        loader.cache_clear()
-
-
 def _fresh_kernel(monkeypatch, home, compiler=None):
-    """gibbs_kernel() as a process with this home directory and compiler would load it."""
+    """load_kernels() as a process with this home directory and compiler would load it."""
     monkeypatch.setenv("HOME", str(home))
     if compiler is not None:
         monkeypatch.setattr(lda, "_COMPILER", compiler)
-    _clear_kernel_caches()
+    lda.load_kernels.cache_clear()
     try:
-        return lda.gibbs_kernel()
+        return lda.load_kernels()
     finally:
-        _clear_kernel_caches()
+        lda.load_kernels.cache_clear()
 
 
 def test_missing_compiler_falls_back_to_the_same_model(tmp_path, monkeypatch):
     reference, _, _ = _toy_model(T=3, iterations=5)
-    kernel, how = _fresh_kernel(monkeypatch, tmp_path, compiler="topiccf-no-such-cc")
-    assert kernel is None and how.startswith("python (") and "topiccf-no-such-cc" in how
-    monkeypatch.setattr(lda, "gibbs_kernel", lambda: (kernel, how))
+    lib, how = _fresh_kernel(monkeypatch, tmp_path, compiler="topiccf-no-such-cc")
+    assert lib is None and how.startswith("python (") and "topiccf-no-such-cc" in how
+    monkeypatch.setattr(lda, "load_kernels", lambda: (lib, how))
     model, _, _ = _toy_model(T=3, iterations=5)
     assert model.assignments == reference.assignments
     assert model.theta.tobytes() == reference.theta.tobytes()
@@ -365,8 +362,8 @@ def test_failing_compiler_falls_back_naming_its_exit_and_last_stderr_line(tmp_pa
 
 
 def test_kernel_is_compiled_once_into_a_private_cache(tmp_path, monkeypatch):
-    kernel, how = _fresh_kernel(monkeypatch, tmp_path)
-    if kernel is None:
+    lib, how = _fresh_kernel(monkeypatch, tmp_path)
+    if lib is None:
         pytest.skip(how)
     cache = tmp_path / ".cache" / "topiccf"
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
@@ -389,28 +386,55 @@ def test_sweep_and_loops_share_one_compile_and_one_load(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setattr(lda, "_compile_kernel", counted("compile", lda._compile_kernel))
     monkeypatch.setattr(ctypes, "CDLL", counted("load", ctypes.CDLL))
-    _clear_kernel_caches()
+    lda.load_kernels.cache_clear()
     try:
-        (kernel, how), (loops, loops_how) = lda.gibbs_kernel(), lda.log_exp_kernels()
+        lib, how = lda.load_kernels()
+        _toy_model(T=3, iterations=2)
+        similarity._exp(similarity._log(np.array([0.5, 2.0])))
+        write_ratings_csv(RatingDataset([RatingRecord(1, 2, 3.0)]), tmp_path / "r.csv")
     finally:
-        _clear_kernel_caches()
-    if kernel is None:
+        lda.load_kernels.cache_clear()
+    if lib is None:
         pytest.skip(how)
-    assert loops is not None and loops_how == how
     assert calls == {"compile": 1, "load": 1}
 
 
-@pytest.mark.parametrize("first", ["gibbs_kernel", "log_exp_kernels"])
-def test_native_functions_refuse_arrays_of_another_type_or_layout(tmp_path, monkeypatch, first):
+def test_patching_load_kernels_alone_sends_every_loop_to_its_twin(tmp_path, monkeypatch):
+    # Each loop is run once first, so that a copy of the library cached by any
+    # other accessor would be in place before load_kernels is patched.
+    ds = RatingDataset([RatingRecord(1, 2, 3.0, 7), RatingRecord(2, 1, 4.5)])
+    x = np.array([0.5, 2.0, 3.0])
+    lda.load_kernels()
+    _toy_model(T=3, iterations=2)
+    similarity._log(x)
+    write_ratings_csv(ds, tmp_path / "native.csv")
+    calls = {"sweep": 0, "log": 0, "csv": 0}
+
+    def spy(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lda, "load_kernels", lambda: (None, "python (test)"))
+    monkeypatch.setattr(lda, "_sweep_python", spy("sweep", lda._sweep_python))
+    monkeypatch.setattr(math, "log", spy("log", math.log))
+    monkeypatch.setattr(ingest, "_csv_rows", spy("csv", ingest._csv_rows))
+    _toy_model(T=3, iterations=2)
+    logs = similarity._log(x)
+    write_ratings_csv(ds, tmp_path / "twin.csv")
+    assert calls["sweep"] == 2 and calls["csv"] == 1 and calls["log"] >= len(x)
+    assert logs.tolist() == [math.log(v) for v in x.tolist()]
+    assert (tmp_path / "twin.csv").read_bytes() == b"1,2,3.0,7\n2,1,4.5\n"
+
+
+@pytest.mark.parametrize("kernels", ["gibbs_kernel", "log_exp_kernels"])
+def test_native_functions_refuse_arrays_of_another_type_or_layout(tmp_path, monkeypatch, kernels):
+    # One group of loops per case (the Gibbs sweep, or the log and exp loops),
+    # each on a library compiled and loaded afresh into a new private cache.
     import ctypes
 
-    monkeypatch.setenv("HOME", str(tmp_path))
-    _clear_kernel_caches()
-    try:
-        getattr(lda, first)()
-        lib, how = lda.load_kernels()
-    finally:
-        _clear_kernel_caches()
+    lib, how = _fresh_kernel(monkeypatch, tmp_path)
     if lib is None:
         pytest.skip(how)
     T, words, doc_of = 2, np.array([0, 1, 0], np.int32), np.zeros(3, np.int32)
@@ -419,11 +443,12 @@ def test_native_functions_refuse_arrays_of_another_type_or_layout(tmp_path, monk
               np.array([2, 1], np.int32)]
     x = np.array([0.25, 0.5, 0.75])
     # (function, its arguments, the position of a float64 input among them)
-    calls = [(lib.topiccf_gibbs_sweep, [3, T, words, doc_of, z, *counts, x, 1.0, 0.01, 0.02,
-                                        np.empty(T)], 8),
-             (lib.topiccf_log, [3, x, np.empty(3)], 1),
-             (lib.topiccf_exp, [3, x, np.empty(3)], 1)]
-    for fn, args, at in calls:
+    calls = {"gibbs_kernel": [(lib.topiccf_gibbs_sweep,
+                               [3, T, words, doc_of, z, *counts, x, 1.0, 0.01, 0.02, np.empty(T)],
+                               8)],
+             "log_exp_kernels": [(lib.topiccf_log, [3, x, np.empty(3)], 1),
+                                 (lib.topiccf_exp, [3, x, np.empty(3)], 1)]}
+    for fn, args, at in calls[kernels]:
         fn(*args)  # the right arrays pass
         for bad in (x.astype(np.float32), np.repeat(x, 2)[::2]):
             with pytest.raises(ctypes.ArgumentError):
@@ -458,8 +483,8 @@ def test_kernel_is_built_in_a_temporary_directory_without_a_private_cache(tmp_pa
     if home == "shared":
         (tmp_path / ".cache" / "topiccf").mkdir(parents=True)
         (tmp_path / ".cache" / "topiccf").chmod(0o777)
-    kernel, how = _fresh_kernel(monkeypatch, tmp_path / home if home == "absent" else tmp_path)
-    if kernel is None:
+    lib, how = _fresh_kernel(monkeypatch, tmp_path / home if home == "absent" else tmp_path)
+    if lib is None:
         pytest.skip(how)
     assert str(tmp_path) not in how
     assert sorted(p.name for p in tmp_path.rglob("*")) == (

@@ -639,10 +639,10 @@ def test_topic_rows_do_not_depend_on_the_openblas_kernel():
 # ---------- native log and exp: bit-identical to math.log and math.exp ----------
 
 def _native_loops():
-    loops, how = lda.log_exp_kernels()
-    if loops is None:
+    lib, how = lda.load_kernels()
+    if lib is None:
         pytest.skip(how)
-    return loops
+    return lib.topiccf_log, lib.topiccf_exp
 
 
 def _bits(values):
@@ -689,7 +689,7 @@ def test_rows_on_the_math_fallback_equal_the_native_rows(monkeypatch):
             _bits(similarity.item_llr_col(i, train)) for i in items]
 
     native = rows()
-    monkeypatch.setattr(lda, "log_exp_kernels", lambda: (None, "python (test)"))
+    monkeypatch.setattr(lda, "load_kernels", lambda: (None, "python (test)"))
     fallback = rows()
     assert len(native) == len(fallback) == 3 * len(users) + len(items)
     for got, want in zip(fallback, native):
