@@ -21,6 +21,14 @@
  * topiccf.ingest._csv_rows, which formats them row by row. A rating's text is
  * copied from reprs, where Python's repr wrote it, so no float is formatted here;
  * ids and timestamps are int64 in decimal, INT64_MIN included.
+ *
+ * topiccf_parse_dat reads a MovieLens text, lines ID::ID::RATING::ID each ending
+ * in a newline (empty lines skipped, the last newline optional), into columns:
+ * the twin of topiccf.ingest._parse_columns' loadtxt branch. An ID is
+ * -?[0-9]{1,18}, so no int64 overflows; a RATING is [0-9]+(\.[0-9]+)? of at most
+ * 15 digits, and its value m / 10^f divides two exact doubles, so IEEE rounds it
+ * as Python's float() does. Any other text, or a rating outside [1, 5], makes it
+ * return -1 and leaves the file to the twin, then to the line parser.
  */
 #include <math.h>
 #include <stdint.h>
@@ -112,4 +120,69 @@ long topiccf_write_ratings(long n, const int64_t *user, const int64_t *item,
         *p++ = '\n';
     }
     return (long)(p - (char *)out);
+}
+
+/* The decimal digits at p appended to *v and counted in *k; NULL where there is none,
+ * or one past max in all, and for a NULL p. */
+static const uint8_t *digits(const uint8_t *p, const uint8_t *end, int64_t *v, int *k, int max)
+{
+    const uint8_t *start = p;
+    for (; p && p < end && *p >= '0' && *p <= '9'; p++, ++*k) {
+        if (*k == max)
+            return NULL;
+        *v = *v * 10 + (*p - '0');
+    }
+    return p == start ? NULL : p;
+}
+
+static const uint8_t *parse_id(const uint8_t *p, const uint8_t *end, int64_t *out)
+{
+    int neg = p && p < end && *p == '-', k = 0;
+    int64_t v = 0;
+    p = digits(neg ? p + 1 : p, end, &v, &k, 18);
+    *out = neg ? -v : v;
+    return p;
+}
+
+static const uint8_t *parse_rating(const uint8_t *p, const uint8_t *end, double *out)
+{
+    static const double pow10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7,
+                                   1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14};
+    int64_t m = 0;
+    int k = 0;
+    p = digits(p, end, &m, &k, 15);
+    int whole = k;
+    if (p && p < end && *p == '.')
+        p = digits(p + 1, end, &m, &k, 15);
+    *out = (double)m / pow10[k - whole];
+    return p;
+}
+
+static const uint8_t *colons(const uint8_t *p, const uint8_t *end)
+{
+    return p && end - p >= 2 && p[0] == ':' && p[1] == ':' ? p + 2 : NULL;
+}
+
+/* The rows of text[0:n] go to the first entries of the columns, which hold cap. */
+long topiccf_parse_dat(long n, const uint8_t *text, long cap, int64_t *user, int64_t *item,
+                       double *rating, int64_t *stamp)
+{
+    const uint8_t *p = text, *end = text + n;
+    long rows = 0;
+    while (p < end) {
+        if (*p == '\n') {
+            p++;
+            continue;
+        }
+        if (rows == cap)
+            return -1;
+        p = colons(parse_id(p, end, &user[rows]), end);
+        p = colons(parse_id(p, end, &item[rows]), end);
+        p = colons(parse_rating(p, end, &rating[rows]), end);
+        p = parse_id(p, end, &stamp[rows]);
+        if (!p || !(rating[rows] >= 1.0 && rating[rows] <= 5.0) || (p < end && *p++ != '\n'))
+            return -1;
+        rows++;
+    }
+    return rows;
 }

@@ -5,10 +5,12 @@ Supported rating formats:
   csv            header-less ``user,item,rating[,timestamp]``
 
 Parsing, de-duplication, the split and the csv writer work on numpy columns
-(RatingColumns); a file numpy refuses goes to the line parser, which names
-the bad line or accepts what only it accepts. The csv rows are written by
-_kernels.c's topiccf_write_ratings loop (lda.load_kernels), or without a
-compiler by its twin, which formats them row by row.
+(RatingColumns). A ``::`` file is read by _kernels.c's topiccf_parse_dat loop
+(lda.load_kernels); what it refuses, a csv, and any file without a compiler by
+its twin, np.loadtxt. A file numpy refuses too goes to the line parser, which
+names the bad line or accepts what only it accepts. The csv rows are written
+by _kernels.c's topiccf_write_ratings loop, or without a compiler by its twin,
+which formats them row by row.
 
 An item corpus is either a directory of ``<item_id>.txt`` UTF-8 files or a
 single TSV with ``item_id<TAB>text`` lines.
@@ -176,19 +178,21 @@ class RatingDataset:
     """Immutable user-item ratings, one per (user, item): the last one given.
 
     Built from RatingColumns or from an iterable of RatingRecord. The ratings
-    are held as ``columns`` in (user, item) order; ``duplicates_dropped``
-    counts the ratings that a later rating of the same pair replaced. The two
-    groupings of the columns are derived on first use and kept: ``user_runs``
-    serves the split, the persona build and evaluate; ``index`` serves the
-    batch rows and the per-pair measures.
+    are held as ``columns`` in (user, item) order, read-only arrays that share
+    no memory with a caller's; ``duplicates_dropped`` counts the ratings that
+    a later rating of the same pair replaced. The two groupings of the
+    columns are derived on first use and kept: ``user_runs`` serves the split,
+    the persona build and evaluate; ``index`` serves the batch rows and the
+    per-pair measures.
     """
 
     def __init__(self, ratings: Iterable[RatingRecord] | RatingColumns = ()):
         given = ratings if isinstance(ratings, RatingColumns) else _columns_of(ratings)
-        given = RatingColumns(*(np.array(c, dtype=d) for c, d in zip(given, _DTYPES)))
+        given = RatingColumns(*(np.asarray(c, dtype=d) for c, d in zip(given, _DTYPES)))
         if len({len(c) for c in given}) != 1:
             raise ValueError("rating columns differ in length")
-        self.columns = _keep_last(given)
+        kept = _keep_last(given)  # new arrays, unless the rows were in order already
+        self.columns = RatingColumns(*(c.copy() for c in given)) if kept is given else kept
         for column in self.columns:
             column.flags.writeable = False
         self.duplicates_dropped = len(given.user) - len(self.columns.user)
@@ -345,17 +349,35 @@ _FIELDS = [("user", np.int64), ("item", np.int64), ("rating", np.float64),
            ("timestamp", np.int64)]
 
 
-def _parse_columns(text: str, fmt: str) -> RatingColumns | None:
-    """Parse with one loadtxt_or_none; None where only _parse_lines can decide.
+def _parse_dat(lib, text: str) -> RatingColumns | None:
+    """A ``::`` text by the native loop topiccf_parse_dat; None where it refuses."""
+    raw = text.encode()
+    cap = raw.count(b"\n") + 1
+    user, item, stamp = (np.empty(cap, np.int64) for _ in range(3))
+    rating = np.empty(cap, np.float64)
+    n = lib.topiccf_parse_dat(len(raw), np.frombuffer(raw, np.uint8), cap, user, item, rating,
+                              stamp)
+    return None if n < 0 else RatingColumns(user[:n], item[:n], rating[:n], stamp[:n],
+                                            np.ones(n, dtype=bool))
 
-    It accepts a subset of what _parse_lines accepts, with the same values:
+
+def _parse_columns(text: str, fmt: str) -> RatingColumns | None:
+    """Parse a ``::`` text by the native loop (_parse_dat); what it refuses, a csv, and
+    any text without the loop by one loadtxt_or_none, the loop's twin; None where
+    only _parse_lines can decide.
+
+    Each accepts a subset of what _parse_lines accepts, with the same values.
     numpy rejects float text in an int column, ``1_000``, whitespace-only lines
     and a carriage return inside a line, and a ``::`` file with a comma in it
-    is left to the line parser.
+    is left to the line parser; the loop takes only the grammar _kernels.c states.
     """
     if fmt == "movielens_dat":
-        if "," in text:
-            return None
+        from . import lda  # lda imports this module
+
+        lib = lda.load_kernels()[0]
+        columns = None if lib is None else _parse_dat(lib, text)
+        if columns is not None or "," in text:
+            return columns
         text = text.replace("::", ",")
         width = 4
     else:
@@ -386,7 +408,10 @@ def parse_ratings(source, fmt: str = "movielens_dat") -> RatingDataset:
         raise ConfigurationError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     text = _source_text(source)
     columns = _parse_columns(text, fmt)
-    return _parse_lines(text, fmt) if columns is None else RatingDataset(columns)
+    if columns is None:
+        return _parse_lines(text, fmt)
+    del text  # the dataset is built without the text in memory
+    return RatingDataset(columns)
 
 
 def float_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:

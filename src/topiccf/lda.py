@@ -14,11 +14,11 @@ After the final sweep the point estimates are
 Everything is deterministic given (corpus, T, alpha_sum, beta, iterations, seed).
 A sweep runs in the C library _kernels.c where a compiler can build it, else
 in _sweep_python; both give the same bits. The same library holds the log and
-exp loops of the similarity rows, the co-count loop of the item-LLR columns and
-the ratings csv writer. load_kernels is the one way any module reaches it: a
-caller takes its function from ``load_kernels()[0]``, or its Python twin where
-that is None. Every array argument goes to C as a plain pointer, so a call
-leaves no reference cycle.
+exp loops of the similarity rows, the co-count loop of the item-LLR columns, the
+ratings csv writer and the ``::`` ratings reader. load_kernels is the one way any
+module reaches it: a caller takes its function from ``load_kernels()[0]``, or its
+Python twin where that is None. Every array argument goes to C as a plain
+pointer, so a call leaves no reference cycle.
 """
 from __future__ import annotations
 
@@ -333,10 +333,12 @@ def load_kernels():
                                           c_double, c_double, c_double, f64_out],
                   "topiccf_log": loop, "topiccf_exp": loop,
                   "topiccf_co_counts": [c_long, i32, i32, i32, i64_out],
-                  "topiccf_write_ratings": [c_long, i64, i64, i64, u8, i64, i64, u8, u8_out]}
-    for name, argtypes in signatures.items():  # all return void but the writer's length
+                  "topiccf_write_ratings": [c_long, i64, i64, i64, u8, i64, i64, u8, u8_out],
+                  "topiccf_parse_dat": [c_long, u8, c_long, i64_out, i64_out, f64_out, i64_out]}
+    counts = ("topiccf_write_ratings", "topiccf_parse_dat")  # the others return void
+    for name, argtypes in signatures.items():
         fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, c_long if name == "topiccf_write_ratings" else None
+        fn.argtypes, fn.restype = argtypes, c_long if name in counts else None
     return lib, f"native ({so})"
 
 

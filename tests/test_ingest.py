@@ -2,6 +2,7 @@ import io
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -481,6 +482,8 @@ def _assert_same_as_line_parser(text, fmt, tmp_path):
         ds = RatingDataset(fast)
         assert ds_records(ds) == ds_records(lines)
         assert ds.duplicates_dropped == lines.duplicates_dropped
+    if fmt == "movielens_dat":
+        _assert_reader_twin_and_line_parser_agree(text)
 
 
 _ID = st.integers(min_value=1, max_value=4).map(str)
@@ -579,6 +582,7 @@ def test_every_kind_of_source_gives_the_same_columns(text, fmt, tmp_path):
     if text == "generated":
         text = _generated(fmt)
         assert ingest._parse_columns(text, fmt) is not None  # numpy reads it at size
+        assert ingest._parse_columns(text.replace("\n", "\r\n"), fmt) is not None
     path = tmp_path / "ratings.txt"
     path.write_bytes(text.encode("utf-8"))
     want = ingest._parse_lines(text, fmt)
@@ -587,9 +591,143 @@ def test_every_kind_of_source_gives_the_same_columns(text, fmt, tmp_path):
                    io.StringIO(text.replace("\n", "\r\n"))):
         got = parse_ratings(source, fmt)
         assert got.duplicates_dropped == want.duplicates_dropped
-        for col, expected in zip(got.columns, want.columns):
-            assert col.dtype == expected.dtype
-            assert col.tobytes() == expected.tobytes()
+        _assert_same_columns(got.columns, want.columns)
+
+
+def _assert_same_columns(got, want):
+    for col, expected in zip(got, want, strict=True):
+        assert col.dtype == expected.dtype
+        assert col.tobytes() == expected.tobytes()
+
+
+def _assert_reader_twin_and_line_parser_agree(text):
+    """The native reader (where the library loads) and its loadtxt twin each refuse the
+    ``::`` text (None) or give columns whose dataset is the line parser's; where both
+    take it, they give the same columns. Returns (native, twin)."""
+    lib = lda.load_kernels()[0]
+    native = None if lib is None else ingest._parse_dat(lib, text)
+    with mock.patch.object(lda, "load_kernels", lambda: (None, "python (test)")):
+        twin = ingest._parse_columns(text, "movielens_dat")
+    try:
+        want, error = ingest._parse_lines(text, "movielens_dat"), None
+    except (ParseError, RatingRangeError) as exc:
+        want, error = None, exc
+    for got in (native, twin):
+        if got is not None:
+            assert error is None, error
+            ds = RatingDataset(got)
+            _assert_same_columns(ds.columns, want.columns)
+            assert ds.duplicates_dropped == want.duplicates_dropped
+    if native is not None and twin is not None:
+        _assert_same_columns(native, twin)
+    return native, twin
+
+
+def test_native_reader_twin_and_line_parser_agree_at_size():
+    if lda.load_kernels()[0] is None:
+        pytest.skip(lda.load_kernels()[1])
+    native, twin = _assert_reader_twin_and_line_parser_agree(_generated("movielens_dat"))
+    assert native is not None and twin is not None
+
+
+_MAX, _MIN = str(ingest._INT64.max), str(ingest._INT64.min)
+
+
+@pytest.mark.parametrize("text,taken", [
+    (f"{_MAX}::1::3::{_MIN}\n", False),  # 19 digits: the line parser takes them
+    ("999999999999999999::-999999999999999999::3::-0\n", True),
+    ("1000000000000000000::1::3::4\n", False),
+    ("0000000000000000007::1::3::4\n", False),
+    ("007::-2::3::0\n", True),
+    ("+7::1::3::4\n", False),
+    ("1:: 3::3::4\n", False),
+    ("1_000::1::3::4\n", False),
+    ("\u0661::1::3::4\n", False),
+    ("1::1::.5::4\n", False),
+    ("1::1::5.::4\n", False),
+    ("1::1::1e0::4\n", False),
+    ("1::1::4.99999999999999::4\n1::2::1.00000000000001::4\n", True),  # 15 digits
+    ("1::1::000000000000005::4\n", True),
+    ("1::1::4.999999999999999::4\n", False),  # 16 digits
+    ("1::1::0000000000000005::4\n", False),
+    ("1::1::5.000000000000001::4\n", False),
+    ("1::1::5.00000000000001::4\n", False),  # 15 digits, above 5
+    ("1::1::1::4\n1::2::5.0::4\n", True),
+    ("1::1::0.5::4\n", False),
+    ("1::1::0.99999999999999::4\n", False),
+    ("1::2::3::4\n\n\n2::3::4.5::5\n\n", True),
+    ("1::2::3::4\n2::3::4.5::5", True),
+    ("", True),
+    ("\n\n", True),
+    ("1::2::3\r::4\n", False),
+    ("1::2::3::4\r\n", False),
+    ("1::2::3::4\n   \n", False),
+    ("1::2::3,5::4\n", False),
+    ("1::2::3::4\n1::2::3::4,\n", False),
+    ("1::2::3\n", False),
+    ("1::2::3::4::5\n", False),
+    ("1::2::3:4\n", False),
+    ("1::2::3::4\x00\n", False),
+])
+def test_native_reader_takes_its_grammar_and_refuses_the_rest(text, taken, tmp_path):
+    native, twin = _assert_reader_twin_and_line_parser_agree(text)
+    if lda.load_kernels()[0] is not None:  # on the twins, the rest still holds
+        assert (native is not None) == taken
+    # What the reader refuses goes to the twin before the line parser.
+    fast = ingest._parse_columns(text, "movielens_dat")
+    assert (fast is None) == (native is None and twin is None)
+    _assert_same_as_line_parser(text, "movielens_dat", tmp_path)
+
+
+def test_native_reader_refuses_arrays_of_another_type_or_layout():
+    import ctypes
+
+    lib, how = lda.load_kernels()
+    if lib is None:
+        pytest.skip(how)
+    text = np.frombuffer(b"1::-2::3.5::4\n5::6::1::7\n", np.uint8)
+    columns = [np.zeros(2, np.int64), np.zeros(2, np.int64), np.zeros(2), np.zeros(2, np.int64)]
+    assert lib.topiccf_parse_dat(len(text), text, 2, *columns) == 2
+    assert [c.tolist() for c in columns] == [[1, 5], [-2, 6], [3.5, 1.0], [4, 7]]
+    assert lib.topiccf_parse_dat(len(text), text, 1, *columns) == -1  # more rows than cap
+    read_only = np.zeros(2, np.int64)
+    read_only.flags.writeable = False
+    args = [len(text), text, 2, *columns]
+    for at, bad in [(1, text.view(np.int8)), (1, np.zeros(52, np.uint8)[::2]),
+                    (3, np.zeros(2, np.int32)), (4, np.zeros(4, np.int64)[::2]),
+                    (5, np.zeros(2, np.float32)), (6, read_only)]:
+        with pytest.raises(ctypes.ArgumentError):
+            lib.topiccf_parse_dat(*args[:at], bad, *args[at + 1:])
+
+
+@pytest.mark.parametrize("in_order", [True, False], ids=["in-order", "unordered"])
+def test_dataset_neither_aliases_nor_freezes_the_callers_columns(in_order):
+    rows = np.arange(6) if in_order else np.array([3, 0, 5, 1, 4, 2])
+    given = RatingColumns(rows // 2, rows % 2, 1.0 + rows / 2, rows * 10, rows % 3 > 0)
+    ds = RatingDataset(given)
+    for mine, held in zip(given, ds.columns, strict=True):
+        assert mine.flags.writeable and not held.flags.writeable
+        assert not np.shares_memory(mine, held)
+    assert ds.columns.user.tolist() == [0, 0, 1, 1, 2, 2]
+
+
+def test_parsing_a_dat_file_drops_the_text_and_copies_the_columns_once(tmp_path):
+    # About 25 bytes of text and 33 of columns a row. Keeping the text and copying the
+    # columns before keep-last peaked at 158 bytes a row; without them the native
+    # reader peaks at 99 and its twin at 109.
+    import tracemalloc
+
+    rows = 200_000
+    path = tmp_path / "ratings.dat"
+    path.write_text(_generated("movielens_dat", rows=rows), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        ds = parse_ratings(path, "movielens_dat")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) + ds.duplicates_dropped == rows
+    assert peak < 130 * rows, peak
 
 
 def test_mixed_timestamp_csv_writes_back_byte_identical(tmp_path):
@@ -737,6 +875,8 @@ def _warning_loadtxt(monkeypatch):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_a_numpy_warning_sends_the_ratings_to_the_line_parser(fmt, monkeypatch):
+    # On the twins: where the native library loads, a `::` file is read without loadtxt.
+    monkeypatch.setattr(lda, "load_kernels", lambda: (None, "python (test)"))
     text = _generated(fmt, rows=2000)
     want = parse_ratings(io.StringIO(text), fmt)
     loaded = _warning_loadtxt(monkeypatch)
