@@ -236,14 +236,13 @@ def cmd_personas(cfg: RunConfig, out: Path) -> None:
     print(f"{len(personas)} personas written ({n_undef} undefined)")
 
 
-def cmd_evaluate(cfg: RunConfig, out: Path, per_user_detail: bool = False,
-                 dump_similarities: bool = False) -> None:
+def cmd_evaluate(cfg: RunConfig, out: Path, per_user_detail: bool = False) -> None:
     train = ingest.parse_ratings(out / "train.csv", "csv")
     test = ingest.parse_ratings(out / "test.csv", "csv")
 
     selected = [a for a in ALGORITHMS if a in cfg.algorithms]
     personas = {}
-    if dump_similarities or any(RECOMMENDERS[a][0] for a in selected):
+    if any(RECOMMENDERS[a][0] for a in selected):
         _require_inputs(out, {"personas.csv": "personas"})
         personas = persona.load_personas_csv(out / "personas.csv")
         if not any(personas[u].defined for u in train.users() if u in personas):
@@ -259,9 +258,6 @@ def cmd_evaluate(cfg: RunConfig, out: Path, per_user_detail: bool = False,
     if cold:
         print(f"note: {cold} test users have no train ratings; every algorithm gives "
               f"them an empty list")
-
-    if dump_similarities:
-        similarity.write_similarity_audit(out / "similarities.csv", personas, train)
 
     reports = []
     for algo in selected:
@@ -311,8 +307,7 @@ STAGES = {
                       (), (), {"theta.csv": "train", "train.csv": "split"}, {}),
     "evaluate": Stage("run recommenders and emit the precision/recall/f report",
                       (), (), {"train.csv": "split", "test.csv": "split"},
-                      {"per_user_detail": "write per-user metric csvs",
-                       "dump_similarities": "write the all-pairs similarity audit csv"}),
+                      {"per_user_detail": "write per-user metric csvs"}),
 }
 
 

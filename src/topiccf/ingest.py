@@ -510,16 +510,17 @@ def split_train_test(ds: RatingDataset, fraction: float, seed: int) -> SplitPair
     """Per-user random split; first round(fraction * |R_u|) shuffled ratings go to train.
 
     The shuffle of each user's ratings (in item order) is seeded by
-    (seed, user_id), so the split depends only on the rating set, not on input
-    file order. Rounding is half-up, so single-rating users keep their rating
-    in train.
+    (seed, user_id mod 2**64), so the split depends only on the rating set, not
+    on input file order; the mod maps each int64 id, negative ones too, to its
+    own non-negative seed word and leaves ids >= 0 as they are. Rounding is
+    half-up, so single-rating users keep their rating in train.
     """
     if not (0.0 < fraction < 1.0):
         raise ConfigurationError(f"fraction must be in (0, 1), got {fraction}")
     user_ids, ptr = ds.user_runs
     train = np.zeros(len(ds), dtype=bool)
     for user, start, end in zip(user_ids.tolist(), ptr.tolist(), ptr[1:].tolist()):
-        order = np.random.default_rng([seed, user]).permutation(end - start)
+        order = np.random.default_rng([seed, user % 2**64]).permutation(end - start)
         train[start + order[:math.floor(fraction * (end - start) + 0.5)]] = True
     return SplitPair(RatingDataset(ds.columns.take(train)), RatingDataset(ds.columns.take(~train)))
 

@@ -351,21 +351,3 @@ def hybrid_similarity(
     t = topic_similarity(personas.get(u), personas.get(v))
     topic = t.value if t.defined else math.nan
     return SimilarityScore(float(_hybrid(topic, llr_similarity(u, v, train).value)))
-
-
-def write_similarity_audit(
-    path,
-    personas: Mapping[int, UserPersona],
-    train: RatingDataset,
-) -> None:
-    """All-pairs audit dump ``user_a,user_b,topic,llr,hybrid`` (a < b), from one
-    topic_row and one llr_row per user a. Desk-scale only: the file holds
-    n(n-1)/2 lines, about 18M at 6040 users."""
-    users = train.users()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("user_a,user_b,topic,llr,hybrid\n")
-        for a_pos, a in enumerate(users):
-            topic, llr = topic_row(a, personas, train), llr_row(a, train)
-            rows = np.stack([topic, llr, _hybrid(topic, llr)], axis=1)[a_pos + 1:].tolist()
-            for b, (t, lr, h) in zip(users[a_pos + 1:], rows):
-                fh.write(f"{a},{b},{'undefined' if math.isnan(t) else repr(t)},{lr!r},{h!r}\n")

@@ -232,12 +232,9 @@ def test_evaluate_per_user_detail_and_similarity_dump(tiny_inputs, tmp_path):
     main(["split"] + args)
     main(["train"] + args)
     main(["personas"] + args)
-    assert main(["evaluate"] + args + ["--algorithms", "hybrid",
-                                       "--per-user-detail", "--dump-similarities"]) == 0
+    assert main(["evaluate"] + args + ["--algorithms", "hybrid", "--per-user-detail"]) == 0
     assert (out / "per_user_hybrid.csv").read_text().startswith("user_id,K,")
-    sims = (out / "similarities.csv").read_text().splitlines()
-    assert sims[0] == "user_a,user_b,topic,llr,hybrid"
-    assert len(sims) == 1 + 8 * 7 // 2
+    assert not (out / "similarities.csv").exists()
 
 
 def test_config_round_trip(tmp_path):
@@ -341,24 +338,27 @@ def test_empty_ratings_file_fails_and_creates_no_output_directory(tmp_path, caps
     assert not out.exists()
 
 
-def test_ubcf_only_similarity_audit_has_topic_values(tiny_inputs, tmp_path):
-    ratings, corpus = tiny_inputs
+def test_dump_similarities_is_refused_and_baselines_need_no_personas(tiny_inputs, tmp_path,
+                                                                      capsys):
     out = tmp_path / "out"
-    args = _base_args(ratings, corpus, out)
-    for stage in ("split", "train", "personas"):
-        assert main([stage] + args) == 0
-    assert main(["evaluate"] + args + ["--algorithms", "ubcf_llr", "--dump-similarities"]) == 0
-    rows = [line.split(",") for line in (out / "similarities.csv").read_text().splitlines()[1:]]
-    assert len(rows) == 8 * 7 // 2
-    assert all(row[2] != "undefined" for row in rows)
+    args = _base_args(*tiny_inputs, out)
+    assert main(["split"] + args) == 0
+    assert main(["evaluate"] + args + ["--algorithms", "ubcf_pearson,ubcf_llr,ibcf_llr"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate"] + args + ["--dump-similarities"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dump-similarities" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["evaluate", "--help"])
+    assert "--dump-similarities" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("upstream,command,missing,producer", [
     (["split"], ["personas"], "theta.csv", "train"),
     (["train"], ["personas"], "train.csv", "split"),
     ([], ["evaluate"], "train.csv", "split"),
-    (["split"], ["evaluate", "--algorithms", "ubcf_llr", "--dump-similarities"],
-     "personas.csv", "personas"),
+    (["split"], ["evaluate", "--algorithms", "hybrid"], "personas.csv", "personas"),
 ])
 def test_missing_input_names_the_stage_that_writes_it(tiny_inputs, tmp_path, capsys,
                                                       upstream, command, missing, producer):
@@ -488,16 +488,22 @@ def test_unnormalised_persona_row_names_file_and_line(tiny_inputs, tmp_path, cap
     assert not (out / "report.csv").exists()
 
 
-def test_similarity_audit_is_pinned(tiny_inputs, tmp_path):
-    # similarities.csv's bytes: a change to the per-pair topic, LLR or hybrid
-    # arithmetic, or to the audit's format, changes this digest.
+def test_similarity_rows_are_pinned(tiny_inputs, tmp_path):
+    # The topic, LLR and hybrid row of every train user of the tiny pipeline, so
+    # both directions of each pair: a change to their arithmetic changes this digest.
     out = tmp_path / "out"
     args = _base_args(*tiny_inputs, out)
     for stage in ("split", "train", "personas"):
         assert main([stage] + args) == 0
-    assert main(["evaluate"] + args + ["--algorithms", "ubcf_llr", "--dump-similarities"]) == 0
-    assert hashlib.sha256((out / "similarities.csv").read_bytes()).hexdigest() == (
-        "a4a02fafe01c6c8a7561657754d8a7838759059ad3fd051df615dce8ca0159fc")
+    train = ingest.parse_ratings(out / "train.csv", "csv")
+    personas = persona.load_personas_csv(out / "personas.csv")
+    digest = hashlib.sha256()
+    for u in train.users():
+        for row in (similarity.topic_row(u, personas, train), similarity.llr_row(u, train),
+                    similarity.hybrid_row(u, personas, train)):
+            digest.update(row.tobytes())
+    assert digest.hexdigest() == (
+        "f1e0505eb6a3ebe8f4b1d9bfd3dfa89e34757f095e6c6584ead19f86e1b6f58b")
 
 
 @pytest.mark.parametrize("stage,flag,key", [("split", "--split-seed", "split_seed"),
@@ -764,7 +770,7 @@ def test_undefined_persona_note_names_only_selected_algorithms(tiny_inputs, tmp_
     notes = {}
     for algos in ("hybrid", "topic_only", "hybrid,topic_only", "ubcf_llr"):
         capsys.readouterr()
-        assert main(["evaluate"] + args + ["--algorithms", algos, "--dump-similarities"]) == 0
+        assert main(["evaluate"] + args + ["--algorithms", algos]) == 0
         notes[algos] = [l for l in capsys.readouterr().out.splitlines()
                         if l.startswith("note: ")]
     hybrid = "hybrid falls back to rating-overlap similarity for those users"

@@ -383,6 +383,22 @@ def test_split_changes_with_seed():
     assert ds_record_set(a.train) != ds_record_set(b.train)
 
 
+def test_split_seeds_negative_user_ids():
+    # Every reader accepts a negative id. The shuffle is seeded with the id mod 2**64,
+    # so an id >= 0 keeps the seed (seed, id).
+    n_per_user = {-(2**63): 3, -7: 10, 0: 4, 7: 10}
+    ds = _dataset(n_per_user)
+    a, b = split_train_test(ds, 0.8, seed=11), split_train_test(ds, 0.8, seed=11)
+    assert ds_record_set(a.train) == ds_record_set(b.train)
+    assert ds_record_set(a.test) == ds_record_set(b.test)
+    assert ds_record_set(a.train) | ds_record_set(a.test) == ds_record_set(ds)
+    assert not (ds_record_set(a.train) & ds_record_set(a.test))
+    for u, n in n_per_user.items():
+        assert len(ds_by_user(a.train)[u]) == int(0.8 * n + 0.5)
+    order = np.random.default_rng([11, 7]).permutation(10)
+    assert sorted(i for i, _ in ds_by_user(a.train)[7]) == sorted((order[:8] + 1).tolist())
+
+
 def test_split_fraction_precondition():
     ds = _dataset({1: 4})
     for bad in (0.0, 1.0, -0.2, 1.5):

@@ -429,7 +429,7 @@ def test_recommenders_call_no_per_pair_similarity(algo, monkeypatch):
         _RECOMMENDERS[algo](u, personas, train, 5)
 
 
-def test_no_row_or_list_calls_a_per_pair_function_on_any_input(tmp_path, monkeypatch):
+def test_no_row_or_list_calls_a_per_pair_function_on_any_input(monkeypatch):
     # A valid map gives the values of an unpatched run; a map with no defined
     # persona gives NaN topic rows and LLR hybrid rows; a bad persona raises the
     # topic row's own error, naming its user, from every caller of the row.
@@ -439,13 +439,10 @@ def test_no_row_or_list_calls_a_per_pair_function_on_any_input(tmp_path, monkeyp
     good = random_personas(rng, users, undefined_fraction=0.2)
     culprit = [u for u in users if good[u].defined][1]
     bad = {**good, culprit: _persona(culprit, [0.6, 0.6, 0.0])}
-    audit = tmp_path / "similarities.csv"
 
     def run(personas):
-        similarity.write_similarity_audit(audit, personas, train)
         return ([similarity.topic_row(u, personas, train).tobytes() for u in users],
                 [similarity.hybrid_row(u, personas, train).tobytes() for u in users],
-                audit.read_bytes(),
                 {a: [f(u, personas, train, 5) for u in users] for a, f in _RECOMMENDERS.items()})
 
     want = run(good)
@@ -465,7 +462,6 @@ def test_no_row_or_list_calls_a_per_pair_function_on_any_input(tmp_path, monkeyp
     u = next(u for u in users if bad[u].defined)
     for call in (lambda: similarity.topic_row(u, bad, train),
                  lambda: similarity.hybrid_row(u, bad, train),
-                 lambda: similarity.write_similarity_audit(audit, bad, train),
                  lambda: recommend_hybrid(u, bad, train, N=5, K=5),
                  lambda: recommend_topic_only(u, bad, train, N=5, K=5)):
         with pytest.raises(ValueError, match=f"^persona of user {culprit} does not sum to 1"):

@@ -292,25 +292,6 @@ def test_hybrid_falls_back_to_llr_when_persona_undefined():
     assert s.value == pytest.approx(LLR_2_OF_4_4_N10, abs=1e-12)
 
 
-def test_audit_takes_one_topic_row_and_one_llr_row_per_user(tmp_path, monkeypatch):
-    calls = dict.fromkeys(["topic_row", "llr_row", "topic_similarity", "llr_similarity"], 0)
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(similarity, name, counted(name, getattr(similarity, name)))
-    rng = np.random.default_rng(4)
-    train = random_dataset(rng)
-    personas = random_personas(rng, train.users(), undefined_fraction=0.2)
-    similarity.write_similarity_audit(tmp_path / "sims.csv", personas, train)
-    n = train.num_users
-    assert calls == {"topic_row": n, "llr_row": n, "topic_similarity": 0, "llr_similarity": 0}
-
-
 # ---------- brute-force equivalence on random instances ----------
 
 def test_matches_naive_oracles_on_random_instances():
@@ -367,28 +348,6 @@ def _row_instances():
         yield train, personas
 
 
-def test_audit_lines_are_the_per_pair_values(tmp_path):
-    # Undefined, missing and floored-zero personas included; formatted as the
-    # per-pair audit wrote them.
-    path = tmp_path / "sims.csv"
-    for train, personas in _row_instances():
-        similarity.write_similarity_audit(path, personas, train)
-        users = train.users()
-        want = ["user_a,user_b,topic,llr,hybrid"]
-        for pos, a in enumerate(users):
-            for b in users[pos + 1:]:
-                topic = topic_similarity(personas.get(a), personas.get(b))
-                want.append(f"{a},{b},{repr(topic.value) if topic.defined else 'undefined'},"
-                            f"{llr_similarity(a, b, train).value!r},"
-                            f"{hybrid_similarity(a, b, personas, train).value!r}")
-        assert path.read_text().splitlines() == want
-    # a persona of the wrong width in the last instance
-    defined = [u for u in users if u in personas and personas[u].defined]
-    personas[defined[2]] = _persona(defined[2], [0.5, 0.5])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        similarity.write_similarity_audit(path, personas, train)
-
-
 def _first_error(fn):
     try:
         fn()
@@ -442,6 +401,32 @@ def test_item_llr_block_rows_are_the_item_columns_bit_for_bit():
         assert (train.index.item_degree == 1).any()
         for j, item in enumerate(items):
             assert (_bits(block[j]) == _bits(similarity.item_llr_col(item, train))).all()
+
+
+def _ulps(a, b):
+    """How many float64 steps apart a and b are, elementwise; neither may be NaN."""
+    ordered = [np.where(i < 0, np.int64(-2**63) - i, i) for i in (a.view(np.int64),
+                                                                   b.view(np.int64))]
+    return np.abs(ordered[0] - ordered[1])
+
+
+def test_topic_and_pearson_are_symmetric_in_bits_and_llr_within_one_ulp():
+    # Topic and Pearson: u's row at v holds the bits of v's row at u, NaN where
+    # undefined. User LLR and the item-LLR block: swapping the pair swaps the two
+    # middle cells in G2's sum, which may move the last bit and no more.
+    train, personas = desk_instance()
+    users = train.users()
+    topic = np.array([similarity.topic_row(u, personas, train) for u in users])
+    pearson = np.array([similarity.pearson_row(u, train) for u in users])
+    undefined = np.array([u not in personas or not personas[u].defined for u in users])
+    assert (np.isnan(topic) == (undefined[:, None] | undefined)).all()
+    assert np.isnan(pearson).any() and not np.isnan(pearson).all()
+    for m in (topic, pearson):
+        assert (_bits(m) == _bits(m.T)).all()
+    llr = np.array([similarity.llr_row(u, train) for u in users])
+    for m in (llr, similarity.item_llr_block(train)):
+        assert not np.isnan(m).any()
+        assert _ulps(m, m.T).max() <= 1
 
 
 def test_topic_and_hybrid_rows_equal_pairwise_bit_for_bit():
