@@ -22,7 +22,6 @@ from .ingest import (
 )
 from .lda import (
     EncodedCorpus,
-    ItemTopicProfile,
     TopicModel,
     Vocabulary,
     build_vocabulary,

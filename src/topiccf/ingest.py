@@ -13,7 +13,7 @@ by _kernels.c's topiccf_write_ratings loop, or without a compiler by its twin,
 which formats them row by row.
 
 An item corpus is either a directory of ``<item_id>.txt`` UTF-8 files or a
-single TSV with ``item_id<TAB>text`` lines.
+single TSV with ``item_id<TAB>text`` lines, each item id once.
 """
 from __future__ import annotations
 
@@ -208,10 +208,8 @@ class RatingDataset:
 
     @cached_property
     def _item_ids(self) -> np.ndarray:
-        """The ascending item ids: the index's once it is built, else the run heads of
-        the index's first step (_runs), so that counting the items builds no index."""
-        if "index" in self.__dict__:
-            return self.index.item_ids
+        """The ascending item ids: the run heads of the index's first step (_runs), so
+        that counting the items builds no index."""
         _, grouped, first = _runs(self.columns.item)
         return grouped[first]
 
@@ -463,15 +461,16 @@ def write_ratings_csv(ds: RatingDataset, path) -> None:
             fh.write(buf[:n])
 
 
-def _corpus_entries(source) -> Iterator[tuple[str, str | Path]]:
-    """(id text, document text or the file holding it) per directory entry or TSV line.
+def _corpus_entries(source) -> Iterator[tuple[int | Path, str, str | Path]]:
+    """(where, id text, document text or the file holding it) per directory entry or
+    TSV line; where is the entry's file, or the line's 1-based number.
 
     A directory entry that is not a ``.txt`` file gets the id text "", which
     load_corpus skips like any other non-integer id.
     """
     if isinstance(source, (str, Path)) and Path(source).is_dir():
         for entry in sorted(Path(source).iterdir()):
-            yield (entry.stem if entry.is_file() and entry.suffix == ".txt" else ""), entry
+            yield entry, (entry.stem if entry.is_file() and entry.suffix == ".txt" else ""), entry
         return
     for line_no, line in enumerate(io.StringIO(_source_text(source)), start=1):
         if not line.strip():
@@ -479,24 +478,33 @@ def _corpus_entries(source) -> Iterator[tuple[str, str | Path]]:
         head, sep, text = line.rstrip("\n").partition("\t")
         if not sep:
             raise ParseError(line_no, "expected item_id<TAB>text")
-        yield head, text
+        yield line_no, head, text
 
 
 def load_corpus(source) -> DocumentCorpus:
     """Load an item document corpus from a directory of ``<item_id>.txt`` files or a TSV.
 
     Directory entries that are not ``.txt`` files, non-integer ids and empty
-    texts are skipped (counted in ``corpus.skipped``). Items present in ratings
-    but absent here are fine; downstream code treats them as undocumented.
+    texts are skipped (counted in ``corpus.skipped``). An id given twice (``7`` and
+    ``007`` are one id) is refused, empty text or not: in a TSV a ParseError at the
+    second line, in a directory a ConfigurationError naming both files. Items
+    present in ratings but absent here are fine; downstream code treats them as
+    undocumented.
     """
     docs: dict[int, str] = {}
+    seen: dict[int, int | Path] = {}
     skipped = 0
-    for head, text in _corpus_entries(source):
+    for where, head, text in _corpus_entries(source):
         try:
             item_id = int(head)
         except ValueError:
             skipped += 1
             continue
+        first = seen.setdefault(item_id, where)
+        if first != where:
+            if isinstance(where, Path):
+                raise ConfigurationError(f"{first} and {where} both hold item {item_id}")
+            raise ParseError(where, f"item {item_id} repeats line {first}")
         # A directory entry is read only once its stem has parsed as an id.
         text = (read_text(text) if isinstance(text, Path) else text).strip()
         if not text:

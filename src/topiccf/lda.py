@@ -139,12 +139,6 @@ class TopicModel:
     item_ids: tuple[int, ...]
 
 
-@dataclass
-class ItemTopicProfile:
-    item_id: int
-    distribution: np.ndarray
-
-
 def train_lda(
     corpus: EncodedCorpus,
     vocab: Vocabulary,
@@ -371,11 +365,9 @@ def topic_top_words(model: TopicModel, topic: int, n: int) -> list[str]:
     return [model.vocab.tokens[i] for i in order[: min(n, len(model.vocab))]]
 
 
-def item_profiles(model: TopicModel) -> dict[int, ItemTopicProfile]:
-    return {
-        item_id: ItemTopicProfile(item_id, model.theta[d])
-        for d, item_id in enumerate(model.item_ids)
-    }
+def item_profiles(model: TopicModel) -> dict[int, np.ndarray]:
+    """Each item's theta row, keyed by item_id."""
+    return dict(zip(model.item_ids, model.theta))
 
 
 _BLOCK_CELLS = 1 << 14  # values write_rows formats and joins at a time
@@ -408,12 +400,12 @@ def write_rows(fh: TextIO, keys: Sequence[Sequence[str]], values: np.ndarray) ->
         fh.write("".join(fields.ravel().tolist()))
 
 
-def read_topic_rows(path, zero_ok: bool = False) -> list[tuple[int, int, np.ndarray]]:
-    """Rows ``id,p_0,...,p_{T-1}`` as write_rows writes them, as (1-based line, id,
-    values) per row; '#' lines are skipped and ``id,`` reads as an empty row. A
-    non-numeric field, a non-empty row wider or narrower than the first, a negative
-    value or a row that does not sum to 1 is a ParseError; with ``zero_ok``, empty
-    and all-zero rows are let through.
+def read_topic_rows(path, zero_ok: bool = False) -> dict[int, np.ndarray]:
+    """Rows ``id,p_0,...,p_{T-1}`` as write_rows writes them, as {id: read-only
+    values}; '#' lines are skipped and ``id,`` reads as an empty row. A non-numeric
+    field, a non-empty row wider or narrower than the first, a negative value or a
+    row that does not sum to 1 is a ParseError naming its line, and so is an id on
+    two lines, naming both; with ``zero_ok``, empty and all-zero rows are let through.
 
     The file is parsed by one loadtxt_or_none (_topic_columns); where numpy refuses it
     or a row breaks a rule, the line parser (_topic_lines) reads it and names the
@@ -423,12 +415,17 @@ def read_topic_rows(path, zero_ok: bool = False) -> list[tuple[int, int, np.ndar
              in enumerate(read_text(path).splitlines(), 1)
              if line.strip() and not line.startswith("#")]
     rows = _topic_columns(lines, zero_ok)
-    return _topic_lines(path, lines, zero_ok) if rows is None else rows
+    first, by_id = {}, {}
+    for line_no, id_, dist in _topic_lines(path, lines, zero_ok) if rows is None else rows:
+        if first.setdefault(id_, line_no) != line_no:
+            raise ParseError(line_no, f"{path}: id {id_} repeats line {first[id_]}")
+        by_id[id_] = dist
+    return by_id
 
 
 def _topic_columns(lines: list[tuple[int, str]], zero_ok: bool):
-    """read_topic_rows of the numbered data lines by one loadtxt_or_none, ids as int64;
-    None where only _topic_lines can decide.
+    """The numbered data lines as (line, id, values) by one loadtxt_or_none, ids as
+    int64; None where only _topic_lines can decide.
 
     It accepts a subset of what _topic_lines accepts, with the same values: numpy
     rejects ``1_000``, an id beyond int64 and float text as an id, and every row
@@ -451,7 +448,7 @@ def _topic_columns(lines: list[tuple[int, str]], zero_ok: bool):
 
 
 def _topic_lines(path, lines: list[tuple[int, str]], zero_ok: bool):
-    """read_topic_rows of the numbered data lines, line by line: the reference
+    """The numbered data lines as (line, id, values), line by line: the reference
     parser, and the one that names a bad line."""
     rows, width = [], 0
     for line_no, line in lines:
@@ -478,18 +475,9 @@ def save_theta(model: TopicModel, path) -> None:
         write_rows(fh, [[str(i) for i in model.item_ids]], model.theta)
 
 
-def topic_rows_by_id(path, zero_ok: bool = False) -> dict[int, np.ndarray]:
-    """read_topic_rows as {id: values}; an id on two lines is a ParseError naming both."""
-    first, by_id = {}, {}
-    for line_no, id_, dist in read_topic_rows(path, zero_ok):
-        if first.setdefault(id_, line_no) != line_no:
-            raise ParseError(line_no, f"{path}: id {id_} repeats line {first[id_]}")
-        by_id[id_] = dist
-    return by_id
-
-
-def load_item_profiles(path) -> dict[int, ItemTopicProfile]:
-    return {i: ItemTopicProfile(i, dist) for i, dist in topic_rows_by_id(path).items()}
+def load_item_profiles(path) -> dict[int, np.ndarray]:
+    """theta.csv as {item_id: theta row} (read_topic_rows)."""
+    return read_topic_rows(path)
 
 
 def save_phi(model: TopicModel, path, threshold: float = 1e-6) -> None:

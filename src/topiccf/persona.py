@@ -1,5 +1,5 @@
 """User personas: each user projected into topic space as a rating-weighted mix
-of the topic profiles of the items they rated.
+of the topic profiles {item_id: theta row} of the items they rated.
 
 The mixing weight of item i for user u is r_ui / sum_j r_uj, where the sum
 runs over u's rated items that actually have topic profiles, so every defined
@@ -16,7 +16,6 @@ import numpy as np
 
 from . import lda
 from .ingest import RatingDataset
-from .lda import ItemTopicProfile
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class UserPersona:
 
 
 def _personas(user_ids: np.ndarray, rows: np.ndarray, items: np.ndarray, ratings: np.ndarray,
-              profiles: Mapping[int, ItemTopicProfile]) -> Mapping[int, UserPersona]:
+              profiles: Mapping[int, np.ndarray]) -> Mapping[int, UserPersona]:
     """The persona of each of the ascending ``user_ids``: rating j is user
     ``user_ids[rows[j]]``'s rating ``ratings[j]`` of item ``items[j]``, with
     each user's ratings in the order they are added.
@@ -43,7 +42,7 @@ def _personas(user_ids: np.ndarray, rows: np.ndarray, items: np.ndarray, ratings
     The map is read-only, its distributions rows of one read-only (users x T) block.
     """
     profiled = np.array(sorted(profiles), dtype=np.int64)
-    block = (np.array([profiles[i].distribution for i in profiled.tolist()], dtype=float)
+    block = (np.array([profiles[i] for i in profiled.tolist()], dtype=float)
              if profiles else np.zeros((0, 0)))
     pos = np.searchsorted(profiled, items)
     documented = pos < len(profiled)
@@ -63,7 +62,7 @@ def _personas(user_ids: np.ndarray, rows: np.ndarray, items: np.ndarray, ratings
 def build_persona(
     user_id: int,
     ratings: Iterable[tuple[int, float]],
-    profiles: Mapping[int, ItemTopicProfile],
+    profiles: Mapping[int, np.ndarray],
 ) -> UserPersona:
     """Weighted sum of profiled items' topic rows; weights are ratings normalized
     over the documented items only, by their left-to-right sum in the given order.
@@ -76,7 +75,7 @@ def build_persona(
 
 def build_all_personas(
     train: RatingDataset,
-    profiles: Mapping[int, ItemTopicProfile],
+    profiles: Mapping[int, np.ndarray],
 ) -> Mapping[int, UserPersona]:
     """One persona per train user, keyed by user_id, from the ratings in item order."""
     user_ids, ptr = train.user_runs
@@ -107,4 +106,4 @@ def load_personas_csv(path) -> Mapping[int, UserPersona]:
     undefined ones 0. Any other row must sum to 1, and no user id may repeat, or it is
     a ParseError naming its line."""
     return MappingProxyType({u: UserPersona(u, dist) if dist.any() else UserPersona(u, None, 0)
-                             for u, dist in lda.topic_rows_by_id(path, zero_ok=True).items()})
+                             for u, dist in lda.read_topic_rows(path, zero_ok=True).items()})

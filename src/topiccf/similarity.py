@@ -247,7 +247,7 @@ def llr_row(user: int, train: RatingDataset) -> np.ndarray:
     ix = train.index
     items = ix.user_items[csr_row(ix.user_ptr, ix.user_ids, user)]
     k11 = _co_counts(ix.item_ptr, ix.item_users, items, len(ix.user_ids))
-    return _llr_rows(k11, len(items), ix.user_degree, train.num_items)
+    return _llr_rows(k11, len(items), ix.user_degree, len(ix.item_ids))
 
 
 def item_llr_col(item: int, train: RatingDataset) -> np.ndarray:
@@ -260,7 +260,7 @@ def item_llr_col(item: int, train: RatingDataset) -> np.ndarray:
     else:  # the same counts in one walk, without _co_counts' gathered entries
         k11 = np.zeros(len(ix.item_ids), dtype=np.int64)
         lib.topiccf_co_counts(len(users), users, ix.user_ptr, ix.user_items, k11)
-    return _llr_rows(k11, ix.item_degree, len(users), train.num_users)
+    return _llr_rows(k11, ix.item_degree, len(users), len(ix.user_ids))
 
 
 def item_llr_block(train: RatingDataset) -> np.ndarray:

@@ -20,7 +20,7 @@ from topiccf.ingest import (
     parse_ratings,
     split_train_test,
 )
-from topiccf.lda import ItemTopicProfile, build_vocabulary, train_lda
+from topiccf.lda import build_vocabulary, train_lda
 from topiccf.persona import build_all_personas
 from topiccf.recommend import (
     recommend_hybrid,
@@ -200,7 +200,7 @@ def _sparsity_instance():
     for base_user, base_item, prof in ((1, 1000, pure_a), (51, 2000, pure_b)):
         items = list(range(base_item, base_item + 60))
         for it in items:
-            profiles[it] = ItemTopicProfile(it, prof.copy())
+            profiles[it] = prof.copy()
         for k in range(20):
             user = base_user + k
             mine = items[3 * k: 3 * k + 3]
@@ -266,7 +266,7 @@ def _clustered_benchmark(seed=123, n_clusters=4, users_per=50, items_per=100,
         dist = np.full(n_clusters, (1 - purity) / (n_clusters - 1))
         dist[c] = purity
         for i in range(c * items_per + 1, (c + 1) * items_per + 1):
-            profiles[i] = ItemTopicProfile(i, dist.copy())
+            profiles[i] = dist.copy()
     return ds, profiles
 
 

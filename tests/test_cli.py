@@ -825,6 +825,24 @@ def test_split_warns_of_dropped_duplicate_ratings(tiny_inputs, tmp_path, capsys)
         "warning: 2 duplicate (user,item) ratings dropped (kept last)")
 
 
+@pytest.mark.parametrize("layout", ["tsv", "directory"])
+def test_train_refuses_a_repeated_corpus_id(tiny_inputs, tmp_path, capsys, layout):
+    _, corpus = tiny_inputs
+    if layout == "tsv":
+        corpus.write_text(corpus.read_text() + "007\tlove story\n")
+        want = "error: line 13: item 7 repeats line 7\n"
+    else:
+        corpus = tmp_path / "docs"
+        corpus.mkdir()
+        (corpus / "7.txt").write_text("war battle", encoding="utf-8")
+        (corpus / "07.txt").write_text("love story", encoding="utf-8")
+        want = f"error: {corpus / '07.txt'} and {corpus / '7.txt'} both hold item 7\n"
+    out = tmp_path / "out"
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
 def test_train_refuses_a_corpus_that_loads_no_documents(tiny_inputs, tmp_path, capsys):
     _, corpus = tiny_inputs
     corpus.write_text("abc\tbattle army\n13\t  \n")

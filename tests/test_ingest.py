@@ -328,6 +328,22 @@ def test_load_corpus_tsv_line_without_tab_names_the_line():
     assert exc.value.line_no == 3
 
 
+@pytest.mark.parametrize("second", ["007\tsecond text", "7\t  ", "+7\tsecond text"])
+def test_load_corpus_tsv_refuses_a_repeated_id_at_its_second_line(second):
+    # An empty second text would be skipped, but the id is refused before that.
+    with pytest.raises(ParseError) as exc:
+        load_corpus(io.StringIO(f"7\tfirst text\n\n{second}\n"))
+    assert str(exc.value) == "line 3: item 7 repeats line 1"
+
+
+def test_load_corpus_directory_refuses_a_repeated_id_naming_both_files(tmp_path):
+    (tmp_path / "7.txt").write_text("first text", encoding="utf-8")
+    (tmp_path / "07.txt").write_text("second text", encoding="utf-8")
+    with pytest.raises(ConfigurationError) as exc:
+        load_corpus(tmp_path)
+    assert str(exc.value) == f"{tmp_path / '07.txt'} and {tmp_path / '7.txt'} both hold item 7"
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_load_corpus_file_reads_any_newline_as_a_line_end(tmp_path, newline):
     text = "3\tplot three\n\n4\tplot\tfour\n"
@@ -910,11 +926,11 @@ def test_a_numpy_warning_sends_the_topic_rows_to_the_line_parser(tmp_path, monke
     with open(path, "w", encoding="utf-8") as fh:
         lda.write_rows(fh, [[str(i) for i in range(1, 41)]],
                        np.random.default_rng(5).dirichlet(np.full(5, 0.3), size=40))
-    want = [(n, i, v.tobytes()) for n, i, v in lda.read_topic_rows(path)]
+    want = [(i, v.tobytes()) for i, v in lda.read_topic_rows(path).items()]
     loaded = _warning_loadtxt(monkeypatch)
     topic_lines, fallbacks = lda._topic_lines, []
     monkeypatch.setattr(lda, "_topic_lines",
                         lambda *args: fallbacks.append(args) or topic_lines(*args))
-    got = [(n, i, v.tobytes()) for n, i, v in lda.read_topic_rows(path)]
+    got = [(i, v.tobytes()) for i, v in lda.read_topic_rows(path).items()]
     assert len(loaded) == 1 and len(fallbacks) == 1
     assert got == want

@@ -579,13 +579,13 @@ def test_theta_round_trip(tmp_path):
     profiles = load_item_profiles(path)
     assert set(profiles) == set(encoded.item_ids)
     for d, item_id in enumerate(encoded.item_ids):
-        np.testing.assert_array_equal(profiles[item_id].distribution, model.theta[d])
+        np.testing.assert_array_equal(profiles[item_id], model.theta[d])
 
 
 def test_item_profiles_view():
     model, encoded, _ = _toy_model()
     profiles = item_profiles(model)
-    np.testing.assert_array_equal(profiles[encoded.item_ids[0]].distribution, model.theta[0])
+    np.testing.assert_array_equal(profiles[encoded.item_ids[0]], model.theta[0])
 
 
 def test_phi_file_has_header_and_threshold(tmp_path):
@@ -651,7 +651,7 @@ def _read_both(path, zero_ok, monkeypatch):
     the columnar reader accepted the file)."""
     def read():
         try:
-            return [(n, i, v.tobytes()) for n, i, v in lda.read_topic_rows(path, zero_ok)]
+            return [(i, v.tobytes()) for i, v in lda.read_topic_rows(path, zero_ok).items()]
         except ParseError as exc:
             return str(exc)
     lines = [(n, line) for n, line in enumerate(path.read_text().splitlines(), 1)
@@ -667,7 +667,7 @@ _GOOD_ROWS = [
     "4,0.25,0.25,0.5\n7,0.5,-0.0,0.5\n9,1e-16,0.0,0.9999999999999999\n",
     "# header\n\n3,0.1,0.2,0.7\n  \n#undefined:1\n5,0.0,0.0,0.0\n",
     " 3 , 0.1,0.2 ,0.7\n+5,0.5,0.5,0.0\n007,1.0,0.0,0.0\n",
-    "3,0.3333333333333333,0.3333333333333333,0.3333333333333334\n3,1,0,0\n",
+    "3,0.3333333333333333,0.3333333333333333,0.3333333333333334\n4,1,0,0\n",
 ]
 
 
@@ -677,7 +677,7 @@ def test_topic_rows_columnar_equal_the_line_parser(tmp_path, monkeypatch, text):
     path.write_text(text)
     got, want, columnar = _read_both(path, True, monkeypatch)
     assert got == want and columnar
-    assert all(isinstance(i, int) for _, i, _ in got)
+    assert all(isinstance(i, int) for i, _ in got)
 
 
 @pytest.mark.parametrize("text,zero_ok", [
@@ -714,4 +714,4 @@ def test_topic_rows_columnar_equal_the_line_parser_at_scale(tmp_path, monkeypatc
         lda.write_rows(fh, [[str(i) for i in range(1, 401)]], values)
     got, want, columnar = _read_both(path, True, monkeypatch)
     assert got == want and columnar
-    assert not lda.read_topic_rows(path, zero_ok=True)[0][2].flags.writeable
+    assert not lda.read_topic_rows(path, zero_ok=True)[1].flags.writeable

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from topiccf import lda
 from topiccf.ingest import RatingDataset, RatingRecord
-from topiccf.lda import ItemTopicProfile
 from topiccf.persona import (
     UserPersona,
     build_all_personas,
@@ -22,7 +21,7 @@ from synth import random_dataset
 
 
 def _profiles(rows):
-    return {i: ItemTopicProfile(i, np.array(d, dtype=float)) for i, d in rows.items()}
+    return {i: np.array(d, dtype=float) for i, d in rows.items()}
 
 
 def test_hand_weighted_mix():
@@ -102,7 +101,7 @@ def test_distribution_and_convexity(seed, n_items):
     p = build_persona(1, ratings, profiles)
     assert p.distribution.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(p.distribution >= 0)
-    rows = np.array([profiles[i].distribution for i in range(n_items)])
+    rows = np.array([profiles[i] for i in range(n_items)])
     assert np.all(p.distribution <= rows.max(axis=0) + 1e-12)
     assert np.all(p.distribution >= rows.min(axis=0) - 1e-12)
 
@@ -149,8 +148,8 @@ def test_total_is_the_left_to_right_sum_in_item_order():
     profiles = _profiles({10: [0.5, 0.25, 0.25], 11: [0.1, 0.2, 0.7], 12: [0.3, 0.3, 0.4]})
     p = build_persona(1, [(10, 1.1), (11, 1.3), (12, 1.1)], profiles)
     total = 3.5000000000000004
-    want = ((1.1 / total) * profiles[10].distribution + (1.3 / total) * profiles[11].distribution
-            + (1.1 / total) * profiles[12].distribution)
+    want = ((1.1 / total) * profiles[10] + (1.3 / total) * profiles[11]
+            + (1.1 / total) * profiles[12])
     assert p.distribution.tolist() == want.tolist()
 
 

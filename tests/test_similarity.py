@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from topiccf.ingest import RatingColumns, RatingDataset, RatingRecord
 from topiccf import lda, persona, similarity
-from topiccf.lda import ItemTopicProfile
 from topiccf.persona import UserPersona
 from topiccf.similarity import (
     hybrid_similarity,
@@ -542,8 +541,7 @@ def test_topic_row_builds_one_block_per_read_only_persona_map(tmp_path, monkeypa
     rng = np.random.default_rng(11)
     train = random_dataset(rng, max_users=30, max_items=40, density=0.2)
     users, items = train.users(), train.items()
-    profiles = {i: ItemTopicProfile(i, d)  # the first item undocumented
-                for i, d in zip(items[1:], rng.dirichlet(np.ones(4), len(items) - 1))}
+    profiles = dict(zip(items[1:], rng.dirichlet(np.ones(4), len(items) - 1)))  # first undocumented
     built = persona.build_all_personas(train, profiles)
     persona.write_personas_csv(built, tmp_path / "personas.csv")
     loaded = persona.load_personas_csv(tmp_path / "personas.csv")
