@@ -31,7 +31,7 @@ from .lda import (
     topic_top_words,
     train_lda,
 )
-from .persona import UserPersona, build_all_personas, build_persona
+from .persona import PersonaTable, UserPersona, build_all_personas, build_persona
 from .similarity import (
     SimilarityScore,
     hybrid_similarity,

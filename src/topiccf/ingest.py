@@ -461,9 +461,10 @@ def write_ratings_csv(ds: RatingDataset, path) -> None:
             fh.write(buf[:n])
 
 
-def _corpus_entries(source) -> Iterator[tuple[int | Path, str, str | Path]]:
+def _corpus_entries(source, named: str) -> Iterator[tuple[int | Path, str, str | Path]]:
     """(where, id text, document text or the file holding it) per directory entry or
-    TSV line; where is the entry's file, or the line's 1-based number.
+    TSV line; where is the entry's file, or the line's 1-based number. A TSV line
+    without a tab is a ParseError, its message led by ``named``.
 
     A directory entry that is not a ``.txt`` file gets the id text "", which
     load_corpus skips like any other non-integer id.
@@ -477,7 +478,7 @@ def _corpus_entries(source) -> Iterator[tuple[int | Path, str, str | Path]]:
             continue
         head, sep, text = line.rstrip("\n").partition("\t")
         if not sep:
-            raise ParseError(line_no, "expected item_id<TAB>text")
+            raise ParseError(line_no, f"{named}expected item_id<TAB>text")
         yield line_no, head, text
 
 
@@ -487,14 +488,16 @@ def load_corpus(source) -> DocumentCorpus:
     Directory entries that are not ``.txt`` files, non-integer ids and empty
     texts are skipped (counted in ``corpus.skipped``). An id given twice (``7`` and
     ``007`` are one id) is refused, empty text or not: in a TSV a ParseError at the
-    second line, in a directory a ConfigurationError naming both files. Items
+    second line, in a directory a ConfigurationError naming both files. A TSV's
+    ParseErrors name its path, where the source is one. Items
     present in ratings but absent here are fine; downstream code treats them as
     undocumented.
     """
     docs: dict[int, str] = {}
     seen: dict[int, int | Path] = {}
     skipped = 0
-    for where, head, text in _corpus_entries(source):
+    named = f"{source}: " if isinstance(source, (str, Path)) else ""
+    for where, head, text in _corpus_entries(source, named):
         try:
             item_id = int(head)
         except ValueError:
@@ -504,7 +507,7 @@ def load_corpus(source) -> DocumentCorpus:
         if first != where:
             if isinstance(where, Path):
                 raise ConfigurationError(f"{first} and {where} both hold item {item_id}")
-            raise ParseError(where, f"item {item_id} repeats line {first}")
+            raise ParseError(where, f"{named}item {item_id} repeats line {first}")
         # A directory entry is read only once its stem has parsed as an id.
         text = (read_text(text) if isinstance(text, Path) else text).strip()
         if not text:

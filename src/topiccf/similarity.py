@@ -16,8 +16,8 @@ symmetric KL has one definition, over many candidates, of which symmetric_kl
 is the one-candidate case, and one input check; the hybrid rule has one too.
 
 The symmetric KL is a fixed-order sum over the topics, taken elementwise over
-a T-major block of floored candidate distributions and their logs, which the
-topic row builds once per read-only persona map. No BLAS call or numpy
+a T-major block of floored candidate distributions and their logs, which a
+persona.PersonaTable builds once, on the first topic row. No BLAS call or numpy
 reduction decides a bit, so a topic score does not depend on which kernels
 numpy picks for the CPU.
 
@@ -32,7 +32,6 @@ _co_counts where it is not built.
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ import numpy as np
 from . import lda
 from .ingest import RatingDataset, csr_entries, csr_row, position
 from .lda import rows_sum_to_one
-from .persona import UserPersona
+from .persona import PersonaTable, UserPersona
 
 KL_FLOOR = 1e-10
 
@@ -274,58 +273,27 @@ def item_llr_block(train: RatingDataset) -> np.ndarray:
     return block
 
 
-# One slot: (train.index, a read-only persona map, their block). The key holds
-# the objects, so an identity compare cannot match a new object at a recycled address.
-_block_memo: list = [None, None, None]
-
-
-def _t_major(personas: list[UserPersona]) -> np.ndarray:
-    """The defined personas' distributions as the columns of one C-contiguous
-    T-major block; _checked, each named by its user id."""
-    names = [f"persona of user {p.user_id}" for p in personas]
-    return np.ascontiguousarray(_checked([p.distribution for p in personas], names).T)
-
-
-def _candidate_block(personas: Mapping[int, UserPersona], train: RatingDataset):
-    """The defined personas of train's users, in index order: their positions, and
-    their floored distributions and logs as T-major blocks, as (pos, q, lq); None
-    when there is none. Raises _t_major's ValueError, naming the first bad persona.
-
-    A read-only map (a MappingProxyType, as build_all_personas and load_personas_csv
-    return) is taken not to change, so a proxy over a dict that is still edited must
-    not be passed: its block is kept until another map or train set comes. Any other
-    Mapping gets a new block on every call."""
-    ix = train.index
-    if _block_memo[0] is ix and _block_memo[1] is personas:
-        return _block_memo[2]
-    _block_memo[:] = [None, None, None]  # the old block goes before a new one is built
-    cands = list(map(personas.get, ix.user_ids.tolist()))
-    pos = [i for i, q in enumerate(cands) if q is not None and q.defined]
-    q = _t_major([cands[i] for i in pos]) if pos else None
-    block = None if q is None else (np.array(pos, dtype=np.intp), *_floored_log(q))
-    if isinstance(personas, MappingProxyType):
-        _block_memo[:] = [ix, personas, block]
-    return block
-
-
 def topic_row(user: int, personas: Mapping[int, UserPersona], train: RatingDataset) -> np.ndarray:
     """topic_similarity of user's persona to every train user's, in index order;
     NaN where undefined, so all NaN unless user's and some train user's persona
     are defined. Then a bad persona, a candidate's or user's own, raises _checked's
     ValueError naming its user; no input makes the row call a per-pair function.
 
-    The candidates' floored distributions and logs come from one T-major block,
-    kept per read-only persona map (_candidate_block); _kl_rows scores them all
-    at once.
+    The candidates are a PersonaTable's topic_block, aligned to train's index once
+    per table; any other Mapping is gathered into a new table on every call, so
+    its edits are seen. _kl_rows scores the candidates all at once.
     """
     p = personas.get(user)
-    block = None if p is None or not p.defined else _candidate_block(personas, train)
-    values = np.full(len(train.index.user_ids), np.nan)
-    if block is not None:
-        pos, q, lq = block
-        d = _checked([p.distribution], [f"persona of user {p.user_id}"], len(q))
-        fp, lp = _floored_log(d.T)
-        values[pos] = _exp(-_kl_rows(fp[:, 0], lp[:, 0], q, lq))
+    ids = train.index.user_ids
+    values = np.full(len(ids), np.nan)
+    if p is not None and p.defined:
+        table = personas if isinstance(personas, PersonaTable) else PersonaTable.gather(personas, ids)
+        at, cols = table.aligned(ids)
+        if len(at):
+            q, lq = table.topic_block
+            d = _checked([p.distribution], [f"persona of user {p.user_id}"], len(q))
+            fp, lp = _floored_log(d.T)
+            values[at] = _exp(-_kl_rows(fp[:, 0], lp[:, 0], q, lq)[cols])
     return values
 
 

@@ -28,7 +28,9 @@ def _tracing():
 
 
 def _inputs(tmp_path):
-    """train.csv, test.csv and theta.csv of 12 users and 10 items, the last item undocumented."""
+    """train.csv, test.csv and theta.csv of 13 users and 10 items, the last item
+    undocumented; user 13 rated only that item, so their persona is undefined, as
+    3 are at ML-1M shape."""
     rng = np.random.default_rng(5)
     train, test = [], []
     for u in range(1, 13):
@@ -36,6 +38,7 @@ def _inputs(tmp_path):
             if rng.random() < 0.6:
                 row = f"{u},{i},{float(rng.integers(1, 6))!r},{1000 * u + i}\n"
                 (train if rng.random() < 0.8 else test).append(row)
+    train.append("13,10,4.0,13010\n")
     (tmp_path / "train.csv").write_text("".join(train))
     (tmp_path / "test.csv").write_text("".join(test))
     (tmp_path / "theta.csv").write_text(
@@ -65,11 +68,11 @@ def test_bench_reads_every_name_and_field_it_uses(tmp_path):
         train = ingest.parse_ratings(tmp_path / "train.csv", "csv")
         profiles = lda.load_item_profiles(tmp_path / "theta.csv")
         personas = persona.build_all_personas(train, profiles)
-        assert persona.undefined_count(personas) == 0
-        assert len(personas) == train.num_users
+        assert persona.undefined_count(personas) == 1
+        assert len(personas) == train.num_users == 13
         for u, p in personas.items():
-            assert p.defined and p.user_id == u
-            assert abs(float(p.distribution.sum()) - 1.0) < 1e-9
+            assert p.user_id == u and p.defined == (u != 13)
+            assert not p.defined or abs(float(p.distribution.sum()) - 1.0) < 1e-9
 
         # QueryMl1m._recommender and round, checks.check_rec_list
         recommenders = {
@@ -95,7 +98,7 @@ def test_bench_reads_every_name_and_field_it_uses(tmp_path):
         # the traced run's per-layer metrics read what the wrappers recorded
         metrics = tracer.metrics(0.0)
         assert metrics["evaluate.users"][0] == 5 * len(sample)
-        assert metrics["persona.undefined"][0] == 0
+        assert metrics["persona.undefined"][0] == 1
         assert all(metrics[f"recommend.{a}.user_ms.p50"][0] > 0 for a in recommenders)
     finally:
         tracer.uninstall()

@@ -830,7 +830,7 @@ def test_train_refuses_a_repeated_corpus_id(tiny_inputs, tmp_path, capsys, layou
     _, corpus = tiny_inputs
     if layout == "tsv":
         corpus.write_text(corpus.read_text() + "007\tlove story\n")
-        want = "error: line 13: item 7 repeats line 7\n"
+        want = f"error: line 13: {corpus}: item 7 repeats line 7\n"
     else:
         corpus = tmp_path / "docs"
         corpus.mkdir()
@@ -840,6 +840,15 @@ def test_train_refuses_a_repeated_corpus_id(tiny_inputs, tmp_path, capsys, layou
     out = tmp_path / "out"
     assert main(["train", "--corpus", str(corpus), "--out", str(out)]) == 2
     assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+def test_train_names_the_corpus_tsv_of_a_line_without_a_tab(tiny_inputs, tmp_path, capsys):
+    _, corpus = tiny_inputs
+    corpus.write_text(corpus.read_text() + "13 no tab\n")
+    out = tmp_path / "out"
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: line 13: {corpus}: expected item_id<TAB>text\n"
     assert not out.exists()
 
 

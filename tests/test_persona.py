@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from topiccf import lda
 from topiccf.ingest import RatingDataset, RatingRecord
 from topiccf.persona import (
+    PersonaTable,
     UserPersona,
     build_all_personas,
     build_persona,
@@ -69,6 +70,34 @@ def test_repeated_rating_weighs_its_item_once():
     ])
     personas = build_all_personas(train, _profiles({5: [1.0, 0.0], 6: [0.0, 1.0]}))
     np.testing.assert_allclose(personas[1].distribution, [0.5, 0.5], atol=1e-15)
+
+
+def test_a_table_is_a_read_only_map_over_its_block_and_dict_gives_an_editable_copy(tmp_path):
+    train = RatingDataset([RatingRecord(1, 10, 5.0), RatingRecord(2, 20, 3.0),
+                           RatingRecord(3, 30, 4.0)])
+    table = build_all_personas(train, _profiles({10: [0.9, 0.1], 20: [0.1, 0.9]}))
+    assert isinstance(table, PersonaTable) and list(table) == [1, 2, 3]
+    assert table.user_ids is train.user_runs[0]
+    assert table.defined.tolist() == [True, True, False] and table.counts.tolist() == [1, 1, 0]
+    # the scatter-add leaves an undefined row at -0.0; the table holds +0.0
+    assert table.block.tolist() == [[0.9, 0.1], [0.1, 0.9], [0.0, 0.0]]
+    assert not np.signbit(table.block).any()
+    assert table[1].distribution.base is table.block and table[3] == UserPersona(3, None, 0)
+    with pytest.raises(TypeError):
+        table[1] = UserPersona(1, None, 0)
+    with pytest.raises(TypeError):
+        del table[1]
+    for array in (table.block, table.defined):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    copy = dict(table)
+    copy[1] = UserPersona(1, None, 0)
+    del copy[2]
+    assert table[1].defined and 2 in table and list(copy) == [1, 3]
+    write_personas_csv(table, tmp_path / "personas.csv")
+    loaded = load_personas_csv(tmp_path / "personas.csv")
+    assert loaded.counts is None and [loaded[u].documented_item_count for u in loaded] == [None, None, 0]
+    assert loaded.block.tobytes() == table.block.tobytes()
 
 
 def test_build_all_personas_empty_train():

@@ -9,6 +9,11 @@
 - _kernels.c is built without flags that round differently from the Python
   twins of its loops.
 - Every file is opened as the context expression of a ``with``.
+- No function or method writes module-level state, so a forked worker or a
+  second caller never sees what an earlier call left behind: no ``global``
+  statement, no assignment, augmented assignment or ``del`` into an attribute
+  or item of a module-level name, no mutating method called on one. A cache
+  that functools keeps (lda.load_kernels) writes nothing in the source.
 """
 import ast
 from pathlib import Path
@@ -105,3 +110,67 @@ def test_open_rule_takes_a_conditional_with_and_refuses_a_bare_open():
                      "with (open(a), open(b)):\n    pass\n"
                      "fh = open(p)\nwith f(open(p)):\n    pass\ntext = path.open().read()\n")
     assert _opens_outside_with(tree) == [5, 6, 8]
+
+
+_MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem", "clear",
+             "remove", "discard", "add", "sort", "reverse"}
+
+
+def _root(node):
+    """The name at the bottom of a chain of attribute reads and subscripts, else None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_state_writes(tree):
+    """The lines, inside a function or method, of a global statement, of a store into
+    or del of an attribute or item of a module-level name, and of a mutating method
+    called on one. A name a function binds, as a parameter or a local, is its own,
+    and a module's functions (``np.append``) are no methods."""
+    top, modules = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            top.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {(a.asname or a.name).split(".")[0] for a in node.names}
+            top |= names
+            modules |= names if isinstance(node, ast.Import) else set()
+        else:
+            top.update(n.id for n in ast.walk(node)
+                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    lines = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        shared = top - {n.arg for n in ast.walk(fn.args) if isinstance(n, ast.arg)} - {
+            n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Global)
+                    or isinstance(node, (ast.Attribute, ast.Subscript))
+                    and isinstance(node.ctx, (ast.Store, ast.Del)) and _root(node) in shared
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _MUTATORS and _root(node.func.value) in shared
+                    and getattr(node.func.value, "id", None) not in modules):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_function_writes_module_level_state():
+    assert {module: lines for module, tree in _modules().items()
+            if (lines := _module_state_writes(tree))} == {}
+
+
+def test_state_rule_sees_each_write_and_lets_locals_and_instances_be():
+    tree = ast.parse(
+        "import os, numpy as np\nfrom a import memo\nslot = [None]\nclass C:\n    pass\n"
+        "def f(x):\n    slot[:] = [x]\n"                                   # 7
+        "def g():\n    global n\n    n = 1\n"                              # 9
+        "def h(k):\n    memo.setdefault(k, []).append(k)\n"                 # 12
+        "def i():\n    del slot[0]\n    os.environ['A'] += '1'\n"          # 14, 15
+        "def j():\n    C.x = 1\n    return lambda: slot.clear()\n"         # 17, 18
+        "def k(slot, memo):\n    slot[:] = []\n    memo.update({})\n"
+        "def m(self):\n    self.cache = {}\n    self.cache.update(a=1)\n"
+        "    local = []\n    local.append(1)\n    memo.get(1)\n    return np.append(local, 1)\n"
+        "slot[:] = [2]\nmemo.update({})\n")
+    assert _module_state_writes(tree) == [7, 9, 12, 14, 15, 17, 18]

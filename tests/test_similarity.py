@@ -536,8 +536,8 @@ def test_topic_row_sees_personas_replaced_or_deleted_between_calls():
 
 
 def test_topic_row_builds_one_block_per_read_only_persona_map(tmp_path, monkeypatch):
-    # build_all_personas and load_personas_csv give read-only maps, whose block is
-    # built once; a dict copy of one gets a new block on every row.
+    # build_all_personas and load_personas_csv give read-only tables, whose block is
+    # floored once; a dict copy of one gets a new block on every row.
     rng = np.random.default_rng(11)
     train = random_dataset(rng, max_users=30, max_items=40, density=0.2)
     users, items = train.users(), train.items()
@@ -545,26 +545,75 @@ def test_topic_row_builds_one_block_per_read_only_persona_map(tmp_path, monkeypa
     built = persona.build_all_personas(train, profiles)
     persona.write_personas_csv(built, tmp_path / "personas.csv")
     loaded = persona.load_personas_csv(tmp_path / "personas.csv")
-    t_major, calls = similarity._t_major, []
-    monkeypatch.setattr(similarity, "_t_major", lambda dists: calls.append(1) or t_major(dists))
+    floored, widths = similarity._floored_log, []
+    monkeypatch.setattr(similarity, "_floored_log", lambda d: widths.append(d.shape[1]) or floored(d))
     for personas in (built, loaded):
         with pytest.raises(TypeError):
             personas[users[0]] = UserPersona(users[0], None, 0)
         defined = [u for u in users if personas[u].defined]
-        assert 0 < len(defined) and all(
+        assert 2 < len(defined) and all(
             not personas[u].distribution.flags.writeable for u in defined)
-        calls.clear()
+        want = {u: [topic_similarity(personas[u], personas.get(v)) for v in users] for u in users}
+        widths.clear()
         for u in users:
             row = similarity.topic_row(u, personas, train)
-            want = [topic_similarity(personas[u], personas.get(v)) for v in users]
-            assert (~np.isnan(row)).tolist() == [s.defined for s in want]
-            assert row[~np.isnan(row)].tolist() == [s.value for s in want if s.defined]
-        assert len(calls) == 1
+            assert (~np.isnan(row)).tolist() == [s.defined for s in want[u]]
+            assert row[~np.isnan(row)].tolist() == [s.value for s in want[u] if s.defined]
+        assert widths.count(len(defined)) == 1
         copy = dict(personas)
-        calls.clear()
+        widths.clear()
         for u in users:
             similarity.topic_row(u, copy, train)
-        assert len(calls) == len(defined)
+        assert widths.count(len(defined)) == len(defined)
+
+
+def _row_values(row):
+    return [None if math.isnan(x) else x for x in row.tolist()]
+
+
+def test_a_table_gathered_from_a_dict_keeps_its_rows_when_the_dict_is_edited():
+    # The table copies the rows it gathers: replacing, deleting or editing a persona
+    # of the dict in place afterwards reaches topic_row of the dict, not the table's.
+    train, personas = next(_row_instances())
+    users = train.users()
+    table = persona.PersonaTable.gather(personas, train.index.user_ids)
+    defined = [u for u in users if u in personas and personas[u].defined]
+    u, v, w, x = defined[1:5]
+    first = _row_values(similarity.topic_row(u, table, train))
+    assert first == _row_values(similarity.topic_row(u, personas, train)) == [
+        _value_or_none(topic_similarity(table[u], table[c])) for c in users]
+    personas[v] = _persona(v, [0.7, 0.1, 0.1, 0.1])
+    del personas[w]
+    personas[x].distribution[:] = [0.97, 0.01, 0.01, 0.01]
+    assert _row_values(similarity.topic_row(u, table, train)) == first
+    edited = _row_values(similarity.topic_row(u, personas, train))
+    assert [edited[users.index(c)] != first[users.index(c)] for c in (v, w, x)] == [True] * 3
+    assert table[x].distribution.tolist() != [0.97, 0.01, 0.01, 0.01]
+
+
+def test_one_table_against_two_train_sets_aligns_to_each():
+    # A table built on one train set, read against it and against a second one
+    # that drops some of its users and adds users it does not hold, by turns.
+    rng = np.random.default_rng(23)
+    train = random_dataset(rng, max_users=30, max_items=40, density=0.2)
+    users, items = train.users(), train.items()
+    profiles = dict(zip(items[1:], rng.dirichlet(np.ones(4), len(items) - 1)))  # first undocumented
+    table = persona.build_all_personas(train, profiles)
+    outsiders = [max(users) + 1, max(users) + 2]
+    other = RatingDataset([r for r in ds_records(train) if r.user_id % 3] +
+                          [RatingRecord(o, items[1], 4.0) for o in outsiders])
+    assert table.user_ids is train.index.user_ids
+    for _ in range(2):
+        for data in (train, other):
+            members = data.users()
+            for u in users:
+                row = similarity.topic_row(u, table, data)
+                assert _row_values(row) == [
+                    _value_or_none(topic_similarity(table[u], table.get(c))) for c in members]
+    at, cols = table.aligned(other.index.user_ids)
+    assert [other.users()[i] for i in at] == [u for u in other.users()
+                                                if u in table and table[u].defined]
+    assert table.aligned(train.index.user_ids)[1] == slice(None)
 
 
 _TOPIC_ROW_DIGEST = """
