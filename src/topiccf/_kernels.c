@@ -1,6 +1,7 @@
 /* Native loops of topiccf, each the twin of a Python oracle with the same bits.
  * Python reaches them only through topiccf.lda.load_kernels, which compiles and
- * loads this file once per process; where it cannot, each caller runs the twin.
+ * loads this file once per process. The Python function that holds a loop's twin
+ * calls the loop, or runs the twin where the library does not load.
  *
  * topiccf_gibbs_sweep is one collapsed Gibbs sweep over a flat token stream,
  * the twin of topiccf.lda._sweep_python: the arithmetic and its order are the
@@ -13,14 +14,15 @@
  * (vector) versions of them.
  *
  * topiccf_co_counts adds 1 to out[c] for each column c of the given rows of a
- * CSR array, row after row: the twin of topiccf.similarity._co_counts. Integer
- * counts only, so no rounding can differ.
+ * CSR array, row after row: the co-ratings of an LLR row or an item-LLR column.
+ * Its twin is the np.bincount in topiccf.similarity._co_counts. Integer counts
+ * only, so no rounding can differ.
  *
- * topiccf_write_ratings writes the csv rows ``user,item,<rating text>[,timestamp]``,
- * each ending in a newline, into out and returns their length: the twin of
- * topiccf.ingest._csv_rows, which formats them row by row. A rating's text is
- * copied from reprs, where Python's repr wrote it, so no float is formatted here;
- * ids and timestamps are int64 in decimal, INT64_MIN included.
+ * topiccf_write_ratings writes one block's csv rows ``user,item,<rating text>[,timestamp]``,
+ * each ending in a newline, into out and returns their length. Its twin, in
+ * topiccf.ingest._csv_rows, formats them row by row. A rating's text is copied
+ * from reprs, where Python's repr wrote it, so no float is formatted here; ids
+ * and timestamps are int64 in decimal, INT64_MIN included.
  *
  * topiccf_parse_dat reads a MovieLens text, lines ID::ID::RATING::ID each ending
  * in a newline (empty lines skipped, the last newline optional), into columns:

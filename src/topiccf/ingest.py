@@ -9,8 +9,8 @@ Parsing, de-duplication, the split and the csv writer work on numpy columns
 (lda.load_kernels); what it refuses, a csv, and any file without a compiler by
 its twin, np.loadtxt. A file numpy refuses too goes to the line parser, which
 names the bad line or accepts what only it accepts. The csv rows are written
-by _kernels.c's topiccf_write_ratings loop, or without a compiler by its twin,
-which formats them row by row.
+a block at a time by _kernels.c's topiccf_write_ratings loop, or without a
+compiler by its twin, which formats them row by row.
 
 An item corpus is either a directory of ``<item_id>.txt`` UTF-8 files or a
 single TSV with ``item_id<TAB>text`` lines, each item id once.
@@ -425,40 +425,33 @@ def float_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
 
 
 def _csv_rows(c: RatingColumns) -> bytes:
-    """The csv rows of the columns, formatted row by row: the twin of _kernels.c's
-    topiccf_write_ratings, its fallback and its oracle."""
-    return "".join(f"{u},{i},{r!r},{t}\n" if stamped else f"{u},{i},{r!r}\n"
-                   for u, i, r, t, stamped in zip(*(col.tolist() for col in c))).encode()
+    """The csv rows of the columns: _kernels.c's topiccf_write_ratings writes them where
+    the library loads, copying each rating's repr (float_reprs of these columns alone);
+    else its twin formats them row by row, with the same bytes."""
+    from . import lda  # lda imports this module
+
+    lib = lda.load_kernels()[0]
+    if lib is None:
+        return "".join(f"{u},{i},{r!r},{t}\n" if stamped else f"{u},{i},{r!r}\n"
+                       for u, i, r, t, stamped in zip(*(col.tolist() for col in c))).encode()
+    text, code = float_reprs(c.rating)
+    reprs = np.frombuffer("".join(text).encode(), dtype=np.uint8)
+    reprs_ptr = np.cumsum([0, *map(len, text)], dtype=np.int64)
+    buf = np.empty(len(code) * (64 + max(map(len, text), default=0)), dtype=np.uint8)
+    n = lib.topiccf_write_ratings(len(code), c.user, c.item, code, reprs, reprs_ptr, c.timestamp,
+                                  c.has_timestamp.view(np.uint8), buf)
+    return buf[:n].tobytes()
 
 
 _WRITE_ROWS = 1 << 14  # rows written at a time
 
 
 def write_ratings_csv(ds: RatingDataset, path) -> None:
-    """Write header-less ``user,item,rating[,timestamp]`` rows in (user, item) order.
-
-    The native loop (lda.load_kernels) writes _WRITE_ROWS rows at a time through one
-    buffer, copying each rating's repr (float_reprs); without it _csv_rows formats
-    the same bytes, _WRITE_ROWS rows at a time, so memory does not grow with the file.
-    """
-    from . import lda  # lda imports this module
-
-    lib, c = lda.load_kernels()[0], ds.columns
+    """Write header-less ``user,item,rating[,timestamp]`` rows in (user, item) order,
+    _WRITE_ROWS rows at a time (_csv_rows), so memory does not grow with the file."""
     with open(path, "wb") as fh:
-        if lib is None:
-            for start in range(0, len(ds), _WRITE_ROWS):
-                fh.write(_csv_rows(c.take(slice(start, start + _WRITE_ROWS))))
-            return
-        text, code = float_reprs(c.rating)
-        reprs = np.frombuffer("".join(text).encode(), dtype=np.uint8)
-        reprs_ptr = np.cumsum([0, *map(len, text)], dtype=np.int64)
-        stamped = c.has_timestamp.view(np.uint8)
-        buf = np.empty(_WRITE_ROWS * (64 + max(map(len, text), default=0)), dtype=np.uint8)
         for start in range(0, len(ds), _WRITE_ROWS):
-            rows = slice(start, start + _WRITE_ROWS)
-            n = lib.topiccf_write_ratings(len(code[rows]), c.user[rows], c.item[rows], code[rows],
-                                          reprs, reprs_ptr, c.timestamp[rows], stamped[rows], buf)
-            fh.write(buf[:n])
+            fh.write(_csv_rows(ds.columns.take(slice(start, start + _WRITE_ROWS))))
 
 
 def _corpus_entries(source, named: str) -> Iterator[tuple[int | Path, str, str | Path]]:

@@ -14,10 +14,11 @@ After the final sweep the point estimates are
 Everything is deterministic given (corpus, T, alpha_sum, beta, iterations, seed).
 A sweep runs in the C library _kernels.c where a compiler can build it, else
 in _sweep_python; both give the same bits. The same library holds the log and
-exp loops of the similarity rows, the co-count loop of the item-LLR columns, the
-ratings csv writer and the ``::`` ratings reader. load_kernels is the one way any
-module reaches it: a caller takes its function from ``load_kernels()[0]``, or its
-Python twin where that is None. Every array argument goes to C as a plain
+exp loops of the similarity rows, the co-count loop of the LLR rows and item
+columns, the ratings csv writer and the ``::`` ratings reader. load_kernels is
+the one way any module reaches it, and the one function that holds a loop's
+Python twin makes the choice: it takes the loop from ``load_kernels()[0]``, or
+runs the twin where that is None. Every array argument goes to C as a plain
 pointer, so a call leaves no reference cycle.
 """
 from __future__ import annotations

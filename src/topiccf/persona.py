@@ -59,6 +59,12 @@ class PersonaTable(Mapping[int, UserPersona]):
         block[defined] = rows
         return cls(user_ids, block, defined)
 
+    def __reduce__(self):
+        """Pickled and copied as a new table over copies of the arrays, so the copy's
+        block is read-only and its personas are views of it."""
+        arrays = (self.user_ids, self.block, self.defined, self.counts)
+        return type(self), tuple(None if a is None else a.copy() for a in arrays)
+
     def __getitem__(self, user_id: int) -> UserPersona:
         return self._personas[user_id]
 

@@ -25,9 +25,9 @@ Every log and exp, of G2 and of the topic term, is libm's log or exp, the
 functions math.log and math.exp call: _log and _exp map them over an array in
 one native loop of the library lda.load_kernels gives, or through math.log and
 math.exp where it is None; both give the same bits. np.log and np.exp are not
-used, because their SIMD loops differ from libm in the last bit. An item
-column counts its co-ratings in the same library's integer loop, or by
-_co_counts where it is not built.
+used, because their SIMD loops differ from libm in the last bit. An LLR row
+and an item column count their co-ratings by _co_counts, in the same library's
+integer loop, or by np.bincount where it is None.
 """
 from __future__ import annotations
 
@@ -236,9 +236,15 @@ def _llr_rows(k11: np.ndarray, size_a, size_b, universe: int) -> np.ndarray:
 
 
 def _co_counts(ptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """For each of ``size`` column positions, how many of the CSR ``rows`` hold it.
-    The twin of _kernels.c's topiccf_co_counts: its fallback and its oracle."""
-    return np.bincount(cols[csr_entries(ptr, rows)], minlength=size)
+    """For each of ``size`` column positions, how many of the int32 CSR ``rows`` hold it,
+    as int64: _kernels.c's topiccf_co_counts walks the rows where the library loads, else
+    its twin, np.bincount of the gathered entries, counts them."""
+    lib = lda.load_kernels()[0]
+    if lib is None:
+        return np.bincount(cols[csr_entries(ptr, rows)], minlength=size)
+    out = np.zeros(size, dtype=np.int64)
+    lib.topiccf_co_counts(len(rows), rows, ptr, cols, out)
+    return out
 
 
 def llr_row(user: int, train: RatingDataset) -> np.ndarray:
@@ -253,12 +259,7 @@ def item_llr_col(item: int, train: RatingDataset) -> np.ndarray:
     """item_llr_similarity(i, item, train).value for every train item i, in index order."""
     ix = train.index
     users = ix.item_users[csr_row(ix.item_ptr, ix.item_ids, item)]
-    lib = lda.load_kernels()[0]
-    if lib is None:
-        k11 = _co_counts(ix.user_ptr, ix.user_items, users, len(ix.item_ids))
-    else:  # the same counts in one walk, without _co_counts' gathered entries
-        k11 = np.zeros(len(ix.item_ids), dtype=np.int64)
-        lib.topiccf_co_counts(len(users), users, ix.user_ptr, ix.user_items, k11)
+    k11 = _co_counts(ix.user_ptr, ix.user_items, users, len(ix.item_ids))
     return _llr_rows(k11, ix.item_degree, len(users), len(ix.user_ids))
 
 

@@ -823,6 +823,19 @@ def test_native_csv_writer_equals_its_twin_across_blocks(rows, tmp_path, monkeyp
     assert native == twin == _csv_by_lines(ds)
 
 
+def test_native_csv_writer_formats_each_blocks_own_ratings(tmp_path, monkeypatch):
+    # Each block takes float_reprs of its own ratings: here 0.30000000000000004 and
+    # 4.5 first appear in the second block and 1e-300 in the last, a short one, and
+    # rows without a timestamp end the first block and start the second.
+    monkeypatch.setattr(ingest, "_WRITE_ROWS", 4)
+    ratings = [1.0, 2.0, 1.0, 2.0, 0.1 + 0.2, 1.0, 4.5, 2.0, 1e-300, 4.5]
+    stamps = [5, -6, 7, None, None, 9, None, 10, 11, None]
+    ds = RatingDataset([RatingRecord(u, 3 - u, r, t) for u, (r, t) in enumerate(zip(ratings, stamps))])
+    native, twin = _native_and_twin_csv(ds, tmp_path, monkeypatch)
+    assert native == twin == _csv_by_lines(ds)
+    assert native.splitlines()[3:5] == [b"3,0,2.0", b"4,-1,0.30000000000000004"]
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_native_csv_writer_equals_its_twin_at_a_full_block(extra, tmp_path, monkeypatch):
     rows = ingest._WRITE_ROWS + extra
@@ -853,6 +866,28 @@ def test_csv_twin_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert (tmp_path / "ratings.csv").read_bytes().count(b"\n") == rows
     assert peak < 8 * 2**20, peak
+
+
+def test_native_csv_writer_memory_does_not_grow_with_the_file(tmp_path):
+    # The loop writes _WRITE_ROWS rows at a time into a buffer of about 1 MiB, and
+    # finds each block's distinct ratings in that block alone.
+    import tracemalloc
+
+    if lda.load_kernels()[0] is None:
+        pytest.skip(lda.load_kernels()[1])
+    rows = 200_000
+    rng = np.random.default_rng(2)
+    ds = RatingDataset(RatingColumns(np.arange(rows), rng.integers(1, 4000, rows),
+                                     rng.integers(2, 11, rows) / 2.0,
+                                     rng.integers(10**9, 2 * 10**9, rows), rng.random(rows) < 0.9))
+    tracemalloc.start()
+    try:
+        write_ratings_csv(ds, tmp_path / "ratings.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "ratings.csv").read_bytes().count(b"\n") == rows
+    assert peak < 3 * 2**20, peak
 
 
 def test_native_csv_writer_refuses_arrays_of_another_type_or_layout():

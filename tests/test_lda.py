@@ -402,30 +402,42 @@ def test_sweep_and_loops_share_one_compile_and_one_load(tmp_path, monkeypatch):
 def test_patching_load_kernels_alone_sends_every_loop_to_its_twin(tmp_path, monkeypatch):
     # Each loop is run once first, so that a copy of the library cached by any
     # other accessor would be in place before load_kernels is patched.
-    ds = RatingDataset([RatingRecord(1, 2, 3.0, 7), RatingRecord(2, 1, 4.5)])
+    ds = RatingDataset([RatingRecord(1, 2, 3.0, 7), RatingRecord(2, 1, 4.5),
+                        RatingRecord(2, 2, 1.0), RatingRecord(3, 1, 2.0)])
     x = np.array([0.5, 2.0, 3.0])
+
+    def llr():
+        return [similarity.llr_row(2, ds).tobytes(), similarity.item_llr_col(1, ds).tobytes()]
+
     lda.load_kernels()
     _toy_model(T=3, iterations=2)
     similarity._log(x)
     write_ratings_csv(ds, tmp_path / "native.csv")
-    calls = {"sweep": 0, "log": 0, "csv": 0}
+    native = llr()
+    calls = {"sweep": 0, "log": 0, "reprs": 0, "bincount": 0}
 
     def spy(key, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[key] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(lda, "load_kernels", lambda: (None, "python (test)"))
     monkeypatch.setattr(lda, "_sweep_python", spy("sweep", lda._sweep_python))
     monkeypatch.setattr(math, "log", spy("log", math.log))
-    monkeypatch.setattr(ingest, "_csv_rows", spy("csv", ingest._csv_rows))
+    # The native writer's one Python helper: its twin formats each row itself.
+    monkeypatch.setattr(ingest, "float_reprs", spy("reprs", ingest.float_reprs))
     _toy_model(T=3, iterations=2)
     logs = similarity._log(x)
     write_ratings_csv(ds, tmp_path / "twin.csv")
-    assert calls["sweep"] == 2 and calls["csv"] == 1 and calls["log"] >= len(x)
+    monkeypatch.setattr(np, "bincount", spy("bincount", np.bincount))
+    twin = llr()
+    assert calls["sweep"] == 2 and calls["reprs"] == 0 and calls["log"] >= len(x)
+    assert calls["bincount"] == 2  # one co-count each for the row and the column
     assert logs.tolist() == [math.log(v) for v in x.tolist()]
-    assert (tmp_path / "twin.csv").read_bytes() == b"1,2,3.0,7\n2,1,4.5\n"
+    want = b"1,2,3.0,7\n2,1,4.5\n2,2,1.0\n3,1,2.0\n"
+    assert (tmp_path / "twin.csv").read_bytes() == (tmp_path / "native.csv").read_bytes() == want
+    assert twin == native
 
 
 @pytest.mark.parametrize("kernels", ["gibbs_kernel", "log_exp_kernels"])

@@ -1,11 +1,13 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topiccf import lda
+from topiccf import lda, similarity
 from topiccf.ingest import RatingDataset, RatingRecord
 from topiccf.persona import (
     PersonaTable,
@@ -98,6 +100,29 @@ def test_a_table_is_a_read_only_map_over_its_block_and_dict_gives_an_editable_co
     loaded = load_personas_csv(tmp_path / "personas.csv")
     assert loaded.counts is None and [loaded[u].documented_item_count for u in loaded] == [None, None, 0]
     assert loaded.block.tobytes() == table.block.tobytes()
+
+
+@pytest.mark.parametrize("how", ["pickle", "copy"])
+def test_a_pickled_or_copied_table_stays_read_only_over_its_own_block(how):
+    train = RatingDataset([RatingRecord(1, 10, 5.0), RatingRecord(2, 20, 3.0),
+                           RatingRecord(2, 10, 1.0), RatingRecord(3, 30, 4.0)])
+    table = build_all_personas(train, _profiles({10: [0.9, 0.1], 20: [0.2, 0.8]}))
+    table.topic_block  # a cached block is not carried over
+    twin = pickle.loads(pickle.dumps(table)) if how == "pickle" else copy.copy(table)
+    assert isinstance(twin, PersonaTable) and twin is not table
+    for array in (twin.block, twin.defined):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert not np.shares_memory(twin.block, table.block)
+    assert twin[1].distribution.base is twin.block and twin[2].distribution.base is twin.block
+    assert list(twin) == list(table) and twin.user_ids.tolist() == table.user_ids.tolist()
+    assert twin.counts.tolist() == table.counts.tolist() == [1, 2, 0]
+    assert twin.block.tobytes() == table.block.tobytes()
+    assert twin.defined.tolist() == table.defined.tolist() and twin[3] == table[3]
+    for u in train.users():
+        assert (similarity.topic_row(u, twin, train).tobytes()
+                == similarity.topic_row(u, table, train).tobytes())
 
 
 def test_build_all_personas_empty_train():

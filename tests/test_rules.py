@@ -6,6 +6,9 @@
   the printed trace alone: their SIMD loops differ from libm in the last bit,
   so every similarity takes its logs and exps from similarity._log and _exp.
 - ctypes.CDLL is called only in lda.load_kernels, the one door to _kernels.c.
+- The library in ``lda.load_kernels()[0]`` is taken only by the function that
+  holds the Python twin of the loop it calls, so each loop is chosen in one
+  place; cli.cmd_train reads only ``[1]``, the text that says which sweep runs.
 - _kernels.c is built without flags that round differently from the Python
   twins of its loops.
 - Every file is opened as the context expression of a ``with``.
@@ -78,6 +81,38 @@ def test_rules_see_a_use_in_any_scope():
                      "x = [np.exp(v) for v in ()]\n")
     assert _uses({"m": tree}, {"np.log", "np.exp"}) == [("m.A.f", 4, "np.log"),
                                                         ("m.<module>", 5, "np.exp")]
+
+
+_KERNEL_READS = {("lda.train_lda", 0), ("similarity._libm", 0), ("similarity._co_counts", 0),
+                 ("ingest._parse_columns", 0), ("ingest._csv_rows", 0), ("cli.cmd_train", 1)}
+
+
+def _kernel_reads(modules):
+    """(module.function, line, index) for every call of load_kernels: the constant index
+    a subscript takes of its result, else None (the whole pair)."""
+    reads = []
+    for module, tree in modules.items():
+        index = {}  # a subscript comes before the call it subscripts in the walk
+        for scope, node in _scoped(tree):
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+                index[node.value] = node.slice.value
+            elif isinstance(node, ast.Call) and _dotted(node.func) in {"load_kernels",
+                                                                      "lda.load_kernels"}:
+                reads.append((f"{module}.{scope}", node.lineno, index.get(node)))
+    return reads
+
+
+def test_each_loop_is_chosen_where_its_twin_lives():
+    assert {(where, at) for where, _, at in _kernel_reads(_modules())} == _KERNEL_READS
+
+
+def test_kernel_rule_sees_a_read_elsewhere():
+    tree = ast.parse("from . import lda\ndef f():\n    return lda.load_kernels()[0]\n"
+                     "def g():\n    lib, how = load_kernels()\n"
+                     "class C:\n    def h(self):\n        print(f'{lda.load_kernels()[1]}')\n")
+    reads = _kernel_reads({"m": tree})
+    assert reads == [("m.f", 3, 0), ("m.g", 5, None), ("m.C.h", 8, 1)]
+    assert {(where, at) for where, _, at in reads} - _KERNEL_READS
 
 
 def test_kernel_flags_round_as_the_python_twins():

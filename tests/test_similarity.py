@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topiccf.ingest import RatingColumns, RatingDataset, RatingRecord
+from topiccf.ingest import RatingColumns, RatingDataset, RatingRecord, csr_row
 from topiccf import lda, persona, similarity
 from topiccf.persona import UserPersona
 from topiccf.similarity import (
@@ -747,7 +747,7 @@ def test_native_calls_leave_no_reference_cycles():
         gc.enable()
 
 
-# ---------- item columns: native co-counts equal _co_counts ----------
+# ---------- co-counts: the native loop equals its np.bincount twin ----------
 
 @pytest.fixture(scope="module")
 def ml1m_shape():
@@ -770,29 +770,49 @@ def ml1m_shape():
                                        np.zeros(n, np.int64), np.zeros(n, bool)))
 
 
-def _sampled_items(train, k=40):
-    """The ids of the 5 most and 5 least rated items and k at evenly spaced degree quantiles."""
-    ix = train.index
-    by_degree = ix.item_ids[np.argsort(ix.item_degree, kind="stable")]
+def _sampled(ids, degree, k=40):
+    """The 5 ids of least and the 5 of most degree and k at evenly spaced degree quantiles."""
+    by_degree = ids[np.argsort(degree, kind="stable")]
     picks = np.linspace(0, len(by_degree) - 1, k).astype(int)
     return [*by_degree[:5].tolist(), *by_degree[picks].tolist(), *by_degree[-5:].tolist()]
 
 
-def test_native_co_counts_equal_the_numpy_twin(ml1m_shape):
+def _sampled_items(train):
+    return _sampled(train.index.item_ids, train.index.item_degree)
+
+
+def test_native_co_counts_equal_the_numpy_twin(ml1m_shape, monkeypatch):
+    # Both directions: an item's raters' items (item_llr_col) and a user's items'
+    # raters (llr_row); the twin is what _co_counts gives where load_kernels gives None.
     lib, how = lda.load_kernels()
     if lib is None:
         pytest.skip(how)
     desk = desk_instance()[0]
     assert 750_000 < len(ml1m_shape) < 900_000 and ml1m_shape.num_items == 3706
-    for train, ids in ((desk, desk.items()), (ml1m_shape, _sampled_items(ml1m_shape))):
-        ix = train.index
-        for item in ids:
-            j = int(np.searchsorted(ix.item_ids, item))
-            users = ix.item_users[ix.item_ptr[j]:ix.item_ptr[j + 1]]
-            want = similarity._co_counts(ix.user_ptr, ix.user_items, users, len(ix.item_ids))
-            got = np.zeros(len(ix.item_ids), dtype=np.int64)
-            lib.topiccf_co_counts(len(users), users, ix.user_ptr, ix.user_items, got)
-            assert got.dtype == want.dtype and np.array_equal(got, want), item
+
+    def counts():
+        out = []
+        for train, items, users in ((desk, desk.items(), desk.users()),
+                                    (ml1m_shape, _sampled_items(ml1m_shape),
+                                     _sampled(ml1m_shape.index.user_ids,
+                                              ml1m_shape.index.user_degree))):
+            ix = train.index
+            for item in items:
+                raters = ix.item_users[csr_row(ix.item_ptr, ix.item_ids, item)]
+                out.append(similarity._co_counts(ix.user_ptr, ix.user_items, raters,
+                                                 len(ix.item_ids)))
+            for user in users:
+                rated = ix.user_items[csr_row(ix.user_ptr, ix.user_ids, user)]
+                out.append(similarity._co_counts(ix.item_ptr, ix.item_users, rated,
+                                                 len(ix.user_ids)))
+        return out
+
+    native = counts()
+    monkeypatch.setattr(lda, "load_kernels", lambda: (None, "python (test)"))
+    twin = counts()
+    assert len(native) == len(twin) == len(desk.items()) + len(desk.users()) + 2 * 50
+    for got, want in zip(native, twin):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_item_columns_keep_their_bits_without_the_native_library(monkeypatch, ml1m_shape):
